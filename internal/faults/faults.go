@@ -111,11 +111,11 @@ const (
 // rule is one parsed spec element: triggers (all must pass) and an action.
 type rule struct {
 	point  string
-	keySub string        // key= trigger ("" = any key)
-	prob   float64       // p= trigger (-1 = unset)
-	nth    int64         // n= trigger (0 = unset)
-	every  int64         // every= trigger (0 = unset)
-	times  int64         // times= cap (0 = unlimited)
+	keySub string  // key= trigger ("" = any key)
+	prob   float64 // p= trigger (-1 = unset)
+	nth    int64   // n= trigger (0 = unset)
+	every  int64   // every= trigger (0 = unset)
+	times  int64   // times= cap (0 = unlimited)
 	act    action
 	msg    string
 	delay  time.Duration

@@ -9,22 +9,22 @@ import (
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"",                          // no rules
-		";;",                        // no rules
-		"nonsense.point",            // unknown point
-		"corpus.read:p=1.5",         // p out of range
-		"corpus.read:p=nan",         // NaN
-		"corpus.read:p=",            // empty p
-		"corpus.read:n=0",           // n < 1
-		"corpus.read:every=-2",      // every < 1
-		"corpus.read:times=0",       // times < 1
-		"corpus.read:key=",          // empty key
-		"corpus.read:bogus=1",       // unknown option
-		"corpus.read:err:panic",     // two actions
-		"corpus.read:delay=xyz",     // bad duration
-		"corpus.read:delay=-1s",     // negative duration
-		"seed=abc",                  // bad seed
-		"seed=1",                    // seed alone: no rules
+		"",                      // no rules
+		";;",                    // no rules
+		"nonsense.point",        // unknown point
+		"corpus.read:p=1.5",     // p out of range
+		"corpus.read:p=nan",     // NaN
+		"corpus.read:p=",        // empty p
+		"corpus.read:n=0",       // n < 1
+		"corpus.read:every=-2",  // every < 1
+		"corpus.read:times=0",   // times < 1
+		"corpus.read:key=",      // empty key
+		"corpus.read:bogus=1",   // unknown option
+		"corpus.read:err:panic", // two actions
+		"corpus.read:delay=xyz", // bad duration
+		"corpus.read:delay=-1s", // negative duration
+		"seed=abc",              // bad seed
+		"seed=1",                // seed alone: no rules
 	}
 	for _, spec := range bad {
 		if p, err := Parse(spec); err == nil {

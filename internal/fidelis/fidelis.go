@@ -17,6 +17,7 @@ package fidelis
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"pokeemu/internal/coverage"
 	"pokeemu/internal/emu"
@@ -29,15 +30,18 @@ import (
 // stepBudget bounds one instruction's micro-op count (rep with a huge count).
 const stepBudget = 1 << 22
 
-// Cache holds compiled IR bodies keyed by instruction bytes. The
-// interpreter itself uses a private cache per guest (like Bochs, it owns no
-// persistent translations); the hardware simulator shares one across guests
-// since silicon needs no translation at all — this is what gives the
-// hardware its per-test cost advantage in the cost-profile benchmarks.
+// Cache holds compiled instruction IR bodies keyed by instruction bytes.
+// The interpreter itself uses a private cache per guest (like Bochs, it owns
+// no persistent translations of guest code); the hardware simulator shares
+// one across guests since silicon needs no translation at all — this is
+// what gives the hardware its per-test cost advantage in the cost-profile
+// benchmarks. Exception delivery is not in here: it is the emulator's own
+// microcode, not a translation of guest bytes, and sem.CompileDelivery
+// memoizes it process-wide for every emulator alike.
 type Cache struct {
 	mu    sync.Mutex
 	progs map[string]*ir.Program
-	Hits  int64
+	hits  atomic.Int64
 }
 
 // NewCache returns an empty program cache.
@@ -48,7 +52,7 @@ func (c *Cache) lookup(key string) (*ir.Program, bool) {
 	defer c.mu.Unlock()
 	p, ok := c.progs[key]
 	if ok {
-		c.Hits++
+		c.hits.Add(1)
 	}
 	return p, ok
 }
@@ -87,7 +91,7 @@ func NewShared(m *machine.Machine, cfg sem.Config, cache *Cache) *Emulator {
 }
 
 // CacheHits reports translation-cache reuse.
-func (e *Emulator) CacheHits() int64 { return e.cache.Hits }
+func (e *Emulator) CacheHits() int64 { return e.cache.hits.Load() }
 
 // SetCoverage attaches an edge-coverage map: every subsequent instruction
 // and delivery body records its IR control-flow edges into cov. With no map

@@ -181,6 +181,25 @@ type fuzzer struct {
 	sigs   map[uint64]bool
 	byHand map[string]*handlerCov
 	res    *Result
+
+	// The trio's Lo-Fi and hardware factories live for the whole stage, as
+	// in campaign.Run, so celer's translation-block cache and the hardware
+	// oracle's shared program cache persist across candidates.
+	celer, hardware harness.Factory
+}
+
+// newFuzzer builds the state for one stage over a normalized cfg.
+func newFuzzer(cfg Config) *fuzzer {
+	return &fuzzer{
+		cfg:      cfg,
+		budget:   harness.Budget{MaxSteps: cfg.MaxSteps},
+		global:   coverage.NewGlobal(),
+		sigs:     make(map[uint64]bool),
+		byHand:   make(map[string]*handlerCov),
+		res:      &Result{},
+		celer:    harness.CelerFactory(),
+		hardware: harness.HardwareFactory(),
+	}
 }
 
 type handlerCov struct {
@@ -224,14 +243,7 @@ func Run(ctx context.Context, cfg Config, seeds []Seed) (*Result, error) {
 	} else if cfg.MaxReseeds == 0 {
 		cfg.MaxReseeds = DefaultMaxReseeds
 	}
-	f := &fuzzer{
-		cfg:    cfg,
-		budget: harness.Budget{MaxSteps: cfg.MaxSteps},
-		global: coverage.NewGlobal(),
-		sigs:   make(map[uint64]bool),
-		byHand: make(map[string]*handlerCov),
-		res:    &Result{},
-	}
+	f := newFuzzer(cfg)
 	f.evalSeeds(ctx, seeds)
 	if len(f.res.Inputs) > 0 {
 		round := 0
@@ -403,8 +415,8 @@ func (f *fuzzer) runRound(ctx context.Context, round, n int) {
 // instrumented fidelis run already happened, so only the Lo-Fi emulator and
 // the hardware oracle execute here.
 func (f *fuzzer) trio(id string, c *candidate) []Divergence {
-	ce := harness.RunBootBudget(harness.CelerFactory(), f.cfg.Image, f.cfg.Boot, c.prog, f.budget)
-	hw := harness.RunBootBudget(harness.HardwareFactory(), f.cfg.Image, f.cfg.Boot, c.prog, f.budget)
+	ce := harness.RunBootBudget(f.celer, f.cfg.Image, f.cfg.Boot, c.prog, f.budget)
+	hw := harness.RunBootBudget(f.hardware, f.cfg.Image, f.cfg.Boot, c.prog, f.budget)
 	filter := diff.UndefFilterFor(c.handler)
 	var out []Divergence
 	for _, pair := range []struct {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pokeemu/internal/core"
-	"pokeemu/internal/coverage"
 	"pokeemu/internal/faults"
 	"pokeemu/internal/machine"
 	"pokeemu/internal/symex"
@@ -217,18 +216,12 @@ func TestFaultSkip(t *testing.T) {
 // exploration contributes new corpus inputs tagged Op="reseed".
 func TestReseedDirect(t *testing.T) {
 	fixture(t)
-	f := &fuzzer{
-		cfg: Config{
-			Budget: 1, Image: fix.image, Boot: fix.boot,
-			ReseedPaths: 2, MaxReseeds: 1,
-			Explorer: func() (*core.Explorer, error) { return fix.ex, nil },
-			Instrs:   fix.instrs,
-		},
-		global: coverage.NewGlobal(),
-		sigs:   make(map[uint64]bool),
-		byHand: make(map[string]*handlerCov),
-		res:    &Result{},
-	}
+	f := newFuzzer(Config{
+		Budget: 1, Image: fix.image, Boot: fix.boot,
+		ReseedPaths: 2, MaxReseeds: 1,
+		Explorer: func() (*core.Explorer, error) { return fix.ex, nil },
+		Instrs:   fix.instrs,
+	})
 	s := fix.seeds[0]
 	cov, fi := f.coverRun(s.Prog)
 	if fi.Snapshot == nil {

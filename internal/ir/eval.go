@@ -105,11 +105,11 @@ func Run(p *Program, st State, maxSteps int) (Outcome, error) {
 			st.Store(uint32(val(s.Args[0])), val(s.Args[1]), s.Width)
 		case KCJump:
 			if val(s.Args[0])&1 == 1 {
-				pc = s.Target
+				pc = int(s.Target)
 				continue
 			}
 		case KJump:
-			pc = s.Target
+			pc = int(s.Target)
 			continue
 		case KRaise:
 			out := Outcome{Kind: OutRaise, Vector: s.Vector, HasErr: s.HasErr, Soft: s.Soft}
@@ -184,14 +184,14 @@ func RunEdges(p *Program, st State, maxSteps int, edge EdgeFunc) (Outcome, error
 			st.Store(uint32(val(s.Args[0])), val(s.Args[1]), s.Width)
 		case KCJump:
 			if val(s.Args[0])&1 == 1 {
-				edge(pc, s.Target)
-				pc = s.Target
+				edge(pc, int(s.Target))
+				pc = int(s.Target)
 				continue
 			}
 			edge(pc, pc+1)
 		case KJump:
-			edge(pc, s.Target)
-			pc = s.Target
+			edge(pc, int(s.Target))
+			pc = int(s.Target)
 			continue
 		case KRaise:
 			out := Outcome{Kind: OutRaise, Vector: s.Vector, HasErr: s.HasErr, Soft: s.Soft}

@@ -18,12 +18,14 @@ import (
 // Temp identifies an SSA-ish temporary within one Program.
 type Temp uint32
 
-// Operand is either a temporary or an immediate constant.
+// Operand is either a temporary or an immediate constant. Fields are
+// ordered largest first so an Operand packs into 16 bytes: every Stmt holds
+// three, and compiled bodies stay cached for the life of the process.
 type Operand struct {
-	IsConst bool
-	Temp    Temp
 	Val     uint64
+	Temp    Temp
 	Width   uint8
+	IsConst bool
 }
 
 // C builds a constant operand.
@@ -50,7 +52,8 @@ const (
 )
 
 // Stmt is one IR statement. Target holds a label id until Build resolves it
-// to a statement index.
+// to a statement index. Target is 32 bits and Operand packed so a Stmt
+// takes 72 bytes (see TestLayout).
 type Stmt struct {
 	Kind   Kind
 	EOp    expr.Op
@@ -60,7 +63,7 @@ type Stmt struct {
 	Lo     uint8 // extract low bit
 	Width  uint8 // KAssign: result bits; KLoad/KStore: bytes (1, 2 or 4)
 	Loc    x86.Loc
-	Target int
+	Target int32
 	Vector uint8
 	HasErr bool
 	Soft   bool // software interrupt (INT n): no error code, EIP advanced
@@ -327,12 +330,12 @@ func (b *Builder) CJump(cond Operand, l Label) {
 	if b.widthOf(cond) != 1 {
 		panic("ir: cjump condition must be 1 bit")
 	}
-	b.emit(Stmt{Kind: KCJump, Args: [3]Operand{cond}, NArgs: 1, Target: int(l)})
+	b.emit(Stmt{Kind: KCJump, Args: [3]Operand{cond}, NArgs: 1, Target: int32(l)})
 }
 
 // Jump branches unconditionally to l.
 func (b *Builder) Jump(l Label) {
-	b.emit(Stmt{Kind: KJump, Target: int(l)})
+	b.emit(Stmt{Kind: KJump, Target: int32(l)})
 }
 
 // Raise ends the path with exception vector vec and error code err.
@@ -387,10 +390,10 @@ func Concat(name string, progs ...*Program) *Program {
 			}
 			switch ns.Kind {
 			case KCJump, KJump:
-				ns.Target += stmtBase
+				ns.Target += int32(stmtBase)
 			case KEnd:
 				if i < len(progs)-1 {
-					ns = Stmt{Kind: KJump, Target: next}
+					ns = Stmt{Kind: KJump, Target: int32(next)}
 				}
 			}
 			out.Stmts = append(out.Stmts, ns)
@@ -408,7 +411,7 @@ func (b *Builder) Build() *Program {
 			if tgt == -1 {
 				panic(fmt.Sprintf("ir: unbound label %d in %s", s.Target, b.p.Name))
 			}
-			s.Target = tgt
+			s.Target = int32(tgt)
 		}
 	}
 	return b.p

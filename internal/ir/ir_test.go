@@ -3,6 +3,7 @@ package ir
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pokeemu/internal/expr"
 	"pokeemu/internal/x86"
@@ -30,6 +31,18 @@ func (m *mapState) Load(p uint32, n uint8) uint64 {
 func (m *mapState) Store(p uint32, v uint64, n uint8) {
 	for i := uint8(0); i < n; i++ {
 		m.mem[p+uint32(i)] = byte(v >> (8 * i))
+	}
+}
+
+// TestLayout pins the packed sizes: compiled bodies are cached for the life
+// of the process, so a field edit that re-pads Operand inflates every Stmt
+// (three Operands each) in every cached program.
+func TestLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Operand{}); n != 16 {
+		t.Errorf("Operand is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(Stmt{}); n > 72 {
+		t.Errorf("Stmt is %d bytes, want at most 72", n)
 	}
 }
 

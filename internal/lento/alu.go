@@ -420,7 +420,7 @@ func (x *exec) aad() *fault {
 	ax := x.gprRead(0, 16)
 	al := uint8(ax)
 	ah := uint8(ax >> 8)
-	r := al + ah*imm // 8-bit lane, wraps
+	r := al + ah*imm             // 8-bit lane, wraps
 	x.gprWrite(0, 16, uint64(r)) // AH=0
 	x.szp(uint64(r), 8)
 	x.aamUndef()

@@ -117,10 +117,10 @@ var fuzzOps = []fuzzOp{
 // bit-blaster with the operands pinned — the same style of oracle
 // FuzzSemanticsOracle aims at celer's lifted closures.
 func FuzzLentoVsEval(f *testing.F) {
-	f.Add([]byte{0, 0, 0x04, 0x03, 0x02, 0x01, 0xff, 0xff, 0xff, 0x7f}) // add, w=8
-	f.Add([]byte{5, 1, 0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00, 0x00}) // sub, w=16
-	f.Add([]byte{8, 2, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00}) // neg, w=32
-	f.Add([]byte{9, 2, 0x21, 0x43, 0x65, 0x87, 0x05, 0x00, 0x00, 0x00}) // shl 5, w=32
+	f.Add([]byte{0, 0, 0x04, 0x03, 0x02, 0x01, 0xff, 0xff, 0xff, 0x7f})  // add, w=8
+	f.Add([]byte{5, 1, 0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00, 0x00})  // sub, w=16
+	f.Add([]byte{8, 2, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00})  // neg, w=32
+	f.Add([]byte{9, 2, 0x21, 0x43, 0x65, 0x87, 0x05, 0x00, 0x00, 0x00})  // shl 5, w=32
 	f.Add([]byte{11, 0, 0x80, 0x00, 0x00, 0x00, 0x21, 0x00, 0x00, 0x00}) // sar 33, w=8
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 10 {

@@ -377,7 +377,7 @@ func TestDivideFaults(t *testing.T) {
 	// A successful idiv with negative operands (sign-handling branches).
 	r := runBoth(t, "idiv-negative", nil,
 		prog(x86.AsmMovRegImm32(x86.EAX, 0xffffff85), // -123
-			[]byte{0x99},                       // cdq
+			[]byte{0x99},                            // cdq
 			x86.AsmMovRegImm32(x86.ECX, 0xfffffff6), // -10
 			[]byte{0xf7, 0xf9}), 64)
 	if v := lastVector(r); v != -1 {
@@ -418,12 +418,12 @@ func TestHighByteRegisters(t *testing.T) {
 	p := prog(
 		x86.AsmMovRegImm32(x86.EAX, 0x11223344),
 		x86.AsmMovRegImm32(x86.EBX, 0x55667788),
-		[]byte{0xb4, 0x7f},       // mov ah, 0x7f
-		[]byte{0x00, 0xe7},       // add bh, ah
-		[]byte{0x28, 0xfc},       // sub ah, bh
-		[]byte{0x88, 0xe5},       // mov ch, ah
-		[]byte{0xf6, 0xdd},       // neg ch
-		[]byte{0x86, 0xe6},       // xchg ah, dh
+		[]byte{0xb4, 0x7f}, // mov ah, 0x7f
+		[]byte{0x00, 0xe7}, // add bh, ah
+		[]byte{0x28, 0xfc}, // sub ah, bh
+		[]byte{0x88, 0xe5}, // mov ch, ah
+		[]byte{0xf6, 0xdd}, // neg ch
+		[]byte{0x86, 0xe6}, // xchg ah, dh
 	)
 	runBoth(t, "high-bytes", nil, p, 64)
 }
@@ -477,12 +477,12 @@ func TestStringEdges(t *testing.T) {
 		x86.AsmMovRegImm32(x86.EDI, 0x5200),
 		x86.AsmMovRegImm32(x86.EAX, 0x61626364),
 		x86.AsmMovRegImm32(x86.ECX, 5),
-		[]byte{0xfd},             // std
-		[]byte{0xf3, 0xa5},       // rep movsd
+		[]byte{0xfd},       // std
+		[]byte{0xf3, 0xa5}, // rep movsd
 		x86.AsmMovRegImm32(x86.ECX, 5),
-		[]byte{0xf3, 0xaa},       // rep stosb
+		[]byte{0xf3, 0xaa}, // rep stosb
 		x86.AsmMovRegImm32(x86.ECX, 5),
-		[]byte{0xf3, 0xac},       // rep lodsb
+		[]byte{0xf3, 0xac}, // rep lodsb
 	)
 	runBoth(t, "string-down", nil, down, 64)
 
@@ -522,7 +522,7 @@ func TestRepTimeout(t *testing.T) {
 	p := prog(
 		x86.AsmMovRegImm32(x86.ESI, 0x5000),
 		x86.AsmMovRegImm32(x86.ECX, 0x500000), // > repBudget (1<<22)
-		[]byte{0xf3, 0xac}, // rep lodsb (reads only: page tables survive)
+		[]byte{0xf3, 0xac},                    // rep lodsb (reads only: page tables survive)
 	)
 	r := harness.Run(harness.LentoFactory(), nil, p, 64)
 	if len(r.Events) == 0 || r.Events[len(r.Events)-1].Kind != emu.EventTimeout {
@@ -558,8 +558,8 @@ func TestFlowEdges(t *testing.T) {
 	// call/ret through a register target, ret imm16.
 	runBothDefault(t, "call-ret",
 		prog([]byte{0xe8, 0x01, 0x00, 0x00, 0x00}, // call over the hlt to ret
-			[]byte{0xf4},                          // executed after the ret
-			[]byte{0xc3}))                         // ret
+			[]byte{0xf4},  // executed after the ret
+			[]byte{0xc3})) // ret
 	runBothDefault(t, "call-rm",
 		prog(x86.AsmMovRegImm32(x86.EAX, machine.CodeBase+8),
 			[]byte{0xff, 0xd0}, // call eax -> the trailing hlt
@@ -583,11 +583,11 @@ func TestIret(t *testing.T) {
 	// Hand-built frame: EIP, CS, EFLAGS pushed in reverse, then iret
 	// resumes past the hlt it jumps over.
 	p := prog(
-		x86.AsmPushImm32(0x8d7),             // EFLAGS image
-		x86.AsmPushImm32(machine.SelCode),   // CS
+		x86.AsmPushImm32(0x8d7),               // EFLAGS image
+		x86.AsmPushImm32(machine.SelCode),     // CS
 		x86.AsmPushImm32(machine.CodeBase+17), // EIP: the trailing hlt
-		[]byte{0xcf}, // iret
-		[]byte{0xf4}, // skipped
+		[]byte{0xcf},                          // iret
+		[]byte{0xf4},                          // skipped
 	)
 	r := runBoth(t, "iret", nil, p, 64)
 	if v := lastVector(r); v != -1 {
@@ -668,7 +668,7 @@ func TestMSRs(t *testing.T) {
 			x86.AsmMovRegImm32(x86.EAX, 0x11223344),
 			x86.AsmMovRegImm32(x86.EDX, 0x55667788),
 			x86.AsmWrmsr(),
-			[]byte{0x0f, 0x31},  // rdtsc
+			[]byte{0x0f, 0x31}, // rdtsc
 			x86.AsmMovRegImm32(x86.ECX, 0x10),
 			[]byte{0x0f, 0x32})) // rdmsr
 }
@@ -685,7 +685,7 @@ func TestDescriptorTableInstrs(t *testing.T) {
 	// image; lmsw/smsw/clts round-trip CR0 bits.
 	runBothDefault(t, "dt-roundtrip",
 		prog([]byte{0x0f, 0x01, 0x05, 0x00, 0x51, 0x00, 0x00}, // sgdt [0x5100]
-			[]byte{0x0f, 0x01, 0x0d, 0x10, 0x51, 0x00, 0x00},  // sidt [0x5110]
+			[]byte{0x0f, 0x01, 0x0d, 0x10, 0x51, 0x00, 0x00}, // sidt [0x5110]
 			x86.AsmLGDT(0x5100),
 			x86.AsmLIDT(0x5110),
 			x86.AsmMovRegImm32(x86.EAX, 0xb),
@@ -708,14 +708,14 @@ func TestVerrVerw(t *testing.T) {
 	}
 	runBoth(t, "verr-verw", img,
 		prog(probe(0, false),
-			probe(sel11|4, false),                // TI set
-			probe(machine.GDTEntries*8, false),   // out of limit
-			probe(machine.SelData, false),        // readable data
-			probe(machine.SelData, true),         // writable data
-			probe(machine.SelCode, false),        // readable code
-			probe(machine.SelCode, true),         // code never writable
-			probe(sel11, true),                   // RO data: verw fails
-			probe(sel11, false)),                 // but verr succeeds
+			probe(sel11|4, false),              // TI set
+			probe(machine.GDTEntries*8, false), // out of limit
+			probe(machine.SelData, false),      // readable data
+			probe(machine.SelData, true),       // writable data
+			probe(machine.SelCode, false),      // readable code
+			probe(machine.SelCode, true),       // code never writable
+			probe(sel11, true),                 // RO data: verw fails
+			probe(sel11, false)),               // but verr succeeds
 		64)
 }
 
@@ -727,11 +727,11 @@ func TestSegmentRegisterMoves(t *testing.T) {
 	// Store and reload a data segment through memory, plus far loads.
 	runBothDefault(t, "sreg-roundtrip",
 		prog([]byte{0x8c, 0x1d, 0x00, 0x51, 0x00, 0x00}, // mov [0x5100], ds
-			[]byte{0x8e, 0x05, 0x00, 0x51, 0x00, 0x00},  // mov es, [0x5100]
-			x86.AsmMovMemImm32(0x5200, 0x00005300),      // far pointer offset
-			x86.AsmMovMemImm16(0x5204, machine.SelData), // selector
-			[]byte{0xc4, 0x0d, 0x00, 0x52, 0x00, 0x00},  // les ecx, [0x5200]
-			[]byte{0xc5, 0x15, 0x00, 0x52, 0x00, 0x00},  // lds edx, [0x5200]
+			[]byte{0x8e, 0x05, 0x00, 0x51, 0x00, 0x00},        // mov es, [0x5100]
+			x86.AsmMovMemImm32(0x5200, 0x00005300),            // far pointer offset
+			x86.AsmMovMemImm16(0x5204, machine.SelData),       // selector
+			[]byte{0xc4, 0x0d, 0x00, 0x52, 0x00, 0x00},        // les ecx, [0x5200]
+			[]byte{0xc5, 0x15, 0x00, 0x52, 0x00, 0x00},        // lds edx, [0x5200]
 			[]byte{0x0f, 0xb4, 0x1d, 0x00, 0x52, 0x00, 0x00},  // lfs ebx, [0x5200]
 			[]byte{0x0f, 0xb5, 0x35, 0x00, 0x52, 0x00, 0x00})) // lgs esi, [0x5200]
 	// lss with a valid stack selector.
@@ -793,23 +793,23 @@ func TestAddressingModes(t *testing.T) {
 		x86.AsmMovRegImm32(x86.EBX, 0x5000),
 		x86.AsmMovRegImm32(x86.ECX, 0x10),
 		x86.AsmMovRegImm32(x86.EBP, 0x5100),
-		[]byte{0x89, 0x03},                         // [ebx]
-		[]byte{0x89, 0x43, 0x08},                   // [ebx+8]
-		[]byte{0x89, 0x83, 0x00, 0x01, 0x00, 0x00}, // [ebx+0x100]
-		[]byte{0x89, 0x45, 0x04},                   // [ebp+4] (SS default)
-		[]byte{0x89, 0x04, 0x0b},                   // [ebx+ecx] (SIB)
-		[]byte{0x89, 0x04, 0x4b},                   // [ebx+ecx*2]
-		[]byte{0x89, 0x04, 0x8b},                   // [ebx+ecx*4]
-		[]byte{0x89, 0x04, 0xcb},                   // [ebx+ecx*8]
+		[]byte{0x89, 0x03},                               // [ebx]
+		[]byte{0x89, 0x43, 0x08},                         // [ebx+8]
+		[]byte{0x89, 0x83, 0x00, 0x01, 0x00, 0x00},       // [ebx+0x100]
+		[]byte{0x89, 0x45, 0x04},                         // [ebp+4] (SS default)
+		[]byte{0x89, 0x04, 0x0b},                         // [ebx+ecx] (SIB)
+		[]byte{0x89, 0x04, 0x4b},                         // [ebx+ecx*2]
+		[]byte{0x89, 0x04, 0x8b},                         // [ebx+ecx*4]
+		[]byte{0x89, 0x04, 0xcb},                         // [ebx+ecx*8]
 		[]byte{0x89, 0x04, 0x25, 0x00, 0x52, 0x00, 0x00}, // [disp32] via SIB base=5
-		[]byte{0x89, 0x04, 0x24},                   // [esp] (SIB base=4 -> SS)
-		[]byte{0x89, 0x44, 0x8d, 0x20},             // [ebp+ecx*4+0x20] (SS)
-		[]byte{0x89, 0x05, 0x30, 0x52, 0x00, 0x00}, // [disp32] mod0 rm5
-		[]byte{0x64, 0x89, 0x03},                   // fs: override
-		[]byte{0x65, 0x8b, 0x03},                   // gs: override
-		[]byte{0x36, 0x89, 0x03},                   // ss: override
-		[]byte{0x3e, 0x89, 0x03},                   // ds: override
-		[]byte{0x2e, 0x8b, 0x03},                   // cs: override (read)
+		[]byte{0x89, 0x04, 0x24},                         // [esp] (SIB base=4 -> SS)
+		[]byte{0x89, 0x44, 0x8d, 0x20},                   // [ebp+ecx*4+0x20] (SS)
+		[]byte{0x89, 0x05, 0x30, 0x52, 0x00, 0x00},       // [disp32] mod0 rm5
+		[]byte{0x64, 0x89, 0x03},                         // fs: override
+		[]byte{0x65, 0x8b, 0x03},                         // gs: override
+		[]byte{0x36, 0x89, 0x03},                         // ss: override
+		[]byte{0x3e, 0x89, 0x03},                         // ds: override
+		[]byte{0x2e, 0x8b, 0x03},                         // cs: override (read)
 	)
 	runBoth(t, "addr-modes", nil, p, 96)
 }

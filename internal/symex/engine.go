@@ -408,7 +408,7 @@ loop:
 			c := val(s.Args[0])
 			if c.IsConst() {
 				if c.Val == 1 {
-					pc = s.Target
+					pc = int(s.Target)
 					continue
 				}
 			} else {
@@ -417,12 +417,12 @@ loop:
 					return nil, err
 				}
 				if taken {
-					pc = s.Target
+					pc = int(s.Target)
 					continue
 				}
 			}
 		case ir.KJump:
-			pc = s.Target
+			pc = int(s.Target)
 			continue
 		case ir.KRaise:
 			outcome = ir.Outcome{Kind: ir.OutRaise, Vector: s.Vector,

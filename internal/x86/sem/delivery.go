@@ -1,19 +1,79 @@
 package sem
 
 import (
+	"slices"
+	"sync"
+
 	"pokeemu/internal/ir"
 	"pokeemu/internal/x86"
 )
 
-// CompileDelivery builds the IR program that delivers exception or software
-// interrupt `vector` through the IDT: gate fetch and validation, the
-// EFLAGS/CS/EIP (+ error code) pushes, flag clearing, and the CS:EIP load.
-// A Raise outcome from this program means delivery itself failed, which the
-// harness reports as a shutdown (the triple-fault analogue).
+// deliveryMemoCap bounds the delivery memo. A campaign touches on the order
+// of a hundred keys (vectors × the handful of error codes each raises); a
+// run that keeps minting fresh error codes resets the memo instead of
+// growing it.
+const deliveryMemoCap = 256
+
+// deliveryKey is everything a delivery body depends on. The error code only
+// matters when it is pushed, so it is zeroed for vectors without one.
+type deliveryKey struct {
+	vector  uint8
+	hasErr  bool
+	errCode uint32
+	cfg     Config
+}
+
+// deliveryMemo caches compiled delivery bodies process-wide. Delivery is a
+// pure function of its key — it reads no guest bytes — and Programs are
+// immutable after Build (ir.Run and ir.RunEdges only read them), so every
+// emulator and guest can share one body per key.
+var deliveryMemo struct {
+	mu    sync.Mutex
+	progs map[deliveryKey]*ir.Program
+}
+
+// CompileDelivery returns the IR program that delivers exception or
+// software interrupt `vector` through the IDT: gate fetch and validation,
+// the EFLAGS/CS/EIP (+ error code) pushes, flag clearing, and the CS:EIP
+// load. A Raise outcome from this program means delivery itself failed,
+// which the harness reports as a shutdown (the triple-fault analogue).
+//
+// Bodies are memoized per key (see deliveryMemo): callers get a shared
+// program they must not modify, statement-for-statement identical to a
+// fresh compile.
 //
 // Symbolic exploration never executes delivery: instruction paths end at the
 // raise, exactly as in the paper (Section 3.3).
 func CompileDelivery(vector uint8, errCode uint32, hasErr bool, cfg Config) *ir.Program {
+	if !hasErr {
+		errCode = 0
+	}
+	k := deliveryKey{vector: vector, hasErr: hasErr, errCode: errCode, cfg: cfg}
+	deliveryMemo.mu.Lock()
+	p, ok := deliveryMemo.progs[k]
+	deliveryMemo.mu.Unlock()
+	if ok {
+		return p
+	}
+	// Compile outside the lock; when two callers race on one key, the first
+	// insert wins so every caller ends up holding the same pointer.
+	p = compileDelivery(vector, errCode, hasErr, cfg)
+	deliveryMemo.mu.Lock()
+	defer deliveryMemo.mu.Unlock()
+	if q, ok := deliveryMemo.progs[k]; ok {
+		return q
+	}
+	if deliveryMemo.progs == nil || len(deliveryMemo.progs) >= deliveryMemoCap {
+		deliveryMemo.progs = make(map[deliveryKey]*ir.Program)
+	}
+	// The body outlives this call, so drop the builder's append slack.
+	p.Stmts = slices.Clone(p.Stmts)
+	deliveryMemo.progs[k] = p
+	return p
+}
+
+// compileDelivery builds a delivery body from scratch, bypassing the memo.
+func compileDelivery(vector uint8, errCode uint32, hasErr bool, cfg Config) *ir.Program {
 	b := ir.NewBuilder("deliver")
 	c := &ctx{b: b, cfg: cfg, osz: 32, inst: &x86.Inst{OpSize: 32}}
 
