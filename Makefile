@@ -1,6 +1,6 @@
 # Standard checks for the PokeEMU reproduction. `make check` is the full
-# gate: gofmt, build, vet, tests, the race detector over every package, the
-# chaos matrix, and the daemon smoke run.
+# gate: gofmt, build, vet (the benchmark module too), tests, the race
+# detector over every package, the chaos matrix, and the daemon smoke run.
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -13,7 +13,7 @@ SERVE_CORPUS ?= .pokeemud-corpus
 # routine edits pass but a dropped test file fails).
 COVER_FLOORS ?= triage:85 diff:90 equivcheck:85 coverage:90 hybrid:85 lento:90 solver:90
 
-.PHONY: fmt build vet test race fuzz chaos cover bench bench-gate serve smoke equivcheck hybrid vote solvercheck check
+.PHONY: fmt build vet benchvet test race fuzz chaos cover bench bench-gate serve smoke equivcheck hybrid vote solvercheck check
 
 # Formatting gate: fail if any Go file in the tree is not gofmt-clean.
 fmt:
@@ -24,6 +24,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark harness (perfbench/) is a separate module, so `build` and
+# `vet` never compile it; vet it on its own so an API change it depends on
+# fails here rather than in the benchmark run.
+benchvet:
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -140,4 +146,4 @@ vote:
 solvercheck:
 	$(GO) test -race -timeout 10m ./internal/solver/...
 
-check: fmt build vet test race chaos cover smoke equivcheck hybrid vote solvercheck bench-gate
+check: fmt build vet benchvet test race chaos cover smoke equivcheck hybrid vote solvercheck bench-gate

@@ -421,6 +421,42 @@ func BenchmarkE11ColdExplore(b *testing.B) {
 		float64(maxi(1, int(res.Solver.InternHits+res.Solver.InternMisses))), "%intern-hit")
 }
 
+// BenchmarkAblation reproduces the E16 and E18 ablations: the cold
+// sequential E11 campaign with one solver or celer optimization switched
+// off per sub-benchmark. The switches live only in campaign.Config (Solver
+// and NoFastPath), not in either CLI or the daemon. Run with:
+//
+//	go test -run xxx -bench BenchmarkAblation -benchtime 1x .
+func BenchmarkAblation(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		set  func(*campaign.Config)
+	}{
+		{"default", func(*campaign.Config) {}},
+		{"nobatch", func(cfg *campaign.Config) { cfg.Solver.NoBatch = true }},
+		{"nosub", func(cfg *campaign.Config) { cfg.Solver.NoSubsume = true }},
+		{"noreduce", func(cfg *campaign.Config) { cfg.Solver.NoReduce = true }},
+		{"nofastpath", func(cfg *campaign.Config) { cfg.NoFastPath = true }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := e11Config(1)
+			c.set(&cfg)
+			var res *campaign.Result
+			t0 := time.Now()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = campaign.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(time.Since(t0).Seconds()*1000/float64(b.N), "ms")
+			b.ReportMetric(float64(res.TotalPaths), "paths")
+			b.ReportMetric(float64(res.Solver.Queries), "queries")
+			b.ReportMetric(float64(res.Solver.SubsumeHits), "subsume-hits")
+		})
+	}
+}
+
 // --- Substrate microbenchmarks (cost model underneath the experiments) ---
 
 func BenchmarkSolverBitblastAndSolve(b *testing.B) {

@@ -410,27 +410,15 @@ func cmdGen(args []string) {
 
 func cmdCampaign(args []string) {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
-	instrs := fs.Int("instrs", 0, "max unique instructions (0 = all)")
-	cap := fs.Int("cap", 256, "paths per instruction")
-	handlers := fs.String("handlers", "", "comma-separated handler keys")
-	seed := fs.Int64("seed", 1, "exploration seed")
-	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers")
-	exploreWorkers := fs.Int("explore-workers", 0,
-		"workers inside each instruction's symbolic exploration (0 or 1 = sequential; never changes the report)")
-	maxSteps := fs.Int("maxsteps", 0, "per-path IR step cap (0 = default)")
-	corpusDir := fs.String("corpus", "", "persistent test corpus directory (\"\" = no cache)")
-	resume := fs.Bool("resume", false, "also cache and reuse per-test execution outcomes")
-	noCache := fs.Bool("no-cache", false, "ignore cached artifacts (still refreshes the corpus)")
+	cf := addCampaignFlags(fs)
 	timing := fs.Bool("timing", false, "append the per-stage timing and cache-hit table")
 	baselinePath := fs.String("baseline", "",
 		"baseline file of known divergences; the summary then partitions differences into known and new")
-	testSteps := fs.Int("test-steps", 0, "per-test emulator step budget (0 = default)")
-	testTimeout := fs.Duration("test-timeout", 0, "per-test wall-clock budget (0 = unlimited)")
-	stageTimeout := fs.Duration("stage-timeout", 0,
+	fs.DurationVar(&cf.testTimeout, "test-timeout", 0, "per-test wall-clock budget (0 = unlimited)")
+	fs.DurationVar(&cf.stageTimeout, "stage-timeout", 0,
 		"per-stage deadline; units still queued at the deadline are skipped and ledgered as degraded (0 = unlimited)")
 	faultSpec := fs.String("faults", "",
 		"fault-injection spec, e.g. \"seed=7;corpus.write:p=0.2:err\" (overrides $"+faults.EnvVar+")")
-	progress := fs.Bool("progress", false, "print per-stage progress to stderr as the campaign runs")
 	pprofPrefix := fs.String("pprof", "",
 		"write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the campaign")
 	hybridOn := fs.Bool("hybrid", false,
@@ -440,30 +428,13 @@ func cmdCampaign(args []string) {
 	hybridSeed := fs.Int64("hybrid-seed", 0, "hybrid fuzzer RNG seed (0 = -seed)")
 	hybridWorkers := fs.Int("hybrid-workers", 0,
 		"hybrid mutator pool size (0 = -workers; never changes the report)")
-	solverBatch := fs.Bool("solver-batch", true,
-		"fold sibling path queries into incremental solving with shared assumption prefixes")
-	fastpath := fs.Bool("fastpath", true,
-		"use the Lo-Fi emulator's direct-dispatch fast path (off = IR-flavored slow path)")
-	portfolio := fs.Int("portfolio", 0,
-		"race N extra seeded solver clones per budgeted query (0 = off; deterministic)")
-	solverSubsume := fs.Bool("solver-subsume", true,
-		"answer sibling path queries whose assumptions hold under the last Sat model without solving")
-	reduceDB := fs.Bool("reduce-db", true,
-		"periodically drop high-LBD learned clauses from the SAT core (off = keep every learned clause)")
-	restartBase := fs.Int("restart-base", 0,
-		"Luby restart unit for the SAT core (0 = default 100)")
 	vote := fs.Bool("vote", false,
 		"run every test on lento too and vote the three emulators into per-test verdicts with a blame column")
 	fs.Parse(args)
 
-	if err := validateCampaignFlags(*workers, *exploreWorkers, *cap, *instrs, *maxSteps, *testSteps, *testTimeout, *stageTimeout); err != nil {
+	cfg, err := cf.config()
+	if err != nil {
 		die(err)
-	}
-	if *portfolio < 0 {
-		die(fmt.Errorf("-portfolio must be >= 0, got %d", *portfolio))
-	}
-	if *restartBase < 0 {
-		die(fmt.Errorf("-restart-base must be >= 0, got %d", *restartBase))
 	}
 	if err := validateHybridFlags(*hybridOn, *hybridBudget, *hybridWorkers); err != nil {
 		die(err)
@@ -481,36 +452,13 @@ func cmdCampaign(args []string) {
 		defer stopProf()
 	}
 
-	cfg := campaign.Config{
-		MaxPathsPerInstr: *cap,
-		MaxInstrs:        *instrs,
-		Seed:             *seed,
-		Workers:          *workers,
-		ExploreWorkers:   *exploreWorkers,
-		MaxSteps:         *maxSteps,
-		CorpusDir:        *corpusDir,
-		NoCache:          *noCache,
-		Resume:           *resume,
-		TestMaxSteps:     *testSteps,
-		TestTimeout:      *testTimeout,
-		StageTimeout:     *stageTimeout,
-		NoSolverBatch:    !*solverBatch,
-		NoFastPath:       !*fastpath,
-		Portfolio:        *portfolio,
-		NoSubsume:        !*solverSubsume,
-		NoReduceDB:       !*reduceDB,
-		RestartBase:      *restartBase,
-		Vote:             *vote,
-	}
+	cfg.Vote = *vote
 	if *hybridOn {
 		cfg.Hybrid = campaign.HybridConfig{
 			Budget:         *hybridBudget,
 			Seed:           *hybridSeed,
 			MutatorWorkers: *hybridWorkers,
 		}
-	}
-	if *handlers != "" {
-		cfg.Handlers = strings.Split(*handlers, ",")
 	}
 	if *baselinePath != "" {
 		bl, err := triage.LoadBaseline(*baselinePath)
@@ -521,9 +469,6 @@ func cmdCampaign(args []string) {
 			bl = triage.NewBaseline()
 		}
 		cfg.Baseline = bl
-	}
-	if *progress {
-		cfg.Progress = progressPrinter(os.Stderr)
 	}
 	// Ctrl-C / SIGTERM cancels the campaign promptly; with -corpus -resume,
 	// finished tests are already checkpointed, so re-running the same
@@ -546,29 +491,8 @@ func cmdCampaign(args []string) {
 // CI gate. With -diff it instead compares two saved report files.
 func cmdTriage(args []string) {
 	fs := flag.NewFlagSet("triage", flag.ExitOnError)
-	instrs := fs.Int("instrs", 0, "max unique instructions (0 = all)")
-	cap := fs.Int("cap", 256, "paths per instruction")
-	handlers := fs.String("handlers", "", "comma-separated handler keys")
-	seed := fs.Int64("seed", 1, "exploration seed")
-	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers (campaign and minimization)")
-	exploreWorkers := fs.Int("explore-workers", 0,
-		"workers inside each instruction's symbolic exploration (0 or 1 = sequential)")
-	maxSteps := fs.Int("maxsteps", 0, "per-path IR step cap (0 = default)")
-	corpusDir := fs.String("corpus", "", "persistent test corpus directory; also caches minimized cases")
-	resume := fs.Bool("resume", false, "also cache and reuse per-test execution outcomes")
-	noCache := fs.Bool("no-cache", false, "ignore cached artifacts (still refreshes the corpus)")
-	testSteps := fs.Int("test-steps", 0, "per-test emulator step budget (0 = default)")
+	cf := addCampaignFlags(fs)
 	timing := fs.Bool("timing", false, "append the campaign timing and cache-hit table")
-	progress := fs.Bool("progress", false, "print per-stage progress to stderr")
-	solverBatch := fs.Bool("solver-batch", true,
-		"fold sibling path queries into incremental solving with shared assumption prefixes")
-	fastpath := fs.Bool("fastpath", true,
-		"use the Lo-Fi emulator's direct-dispatch fast path (off = IR-flavored slow path)")
-	solverSubsume := fs.Bool("solver-subsume", true,
-		"answer sibling path queries whose assumptions hold under the last Sat model without solving")
-	reduceDB := fs.Bool("reduce-db", true,
-		"periodically drop high-LBD learned clauses from the SAT core (off = keep every learned clause)")
-
 	baselinePath := fs.String("baseline", "",
 		"baseline file of known divergences (\"\" or missing file = everything is new)")
 	minimize := fs.Bool("minimize", false, "ddmin-shrink every divergent case, preserving its signature")
@@ -605,38 +529,19 @@ func cmdTriage(args []string) {
 		die(fmt.Errorf("-update-baseline needs -baseline FILE"))
 	}
 
+	cfg, err := cf.config()
+	if err != nil {
+		die(err)
+	}
 	var bl *triage.Baseline
 	if *baselinePath != "" {
-		var err error
 		if bl, err = triage.LoadBaseline(*baselinePath); err != nil {
 			die(err)
 		}
-	}
-	cfg := campaign.Config{
-		MaxPathsPerInstr: *cap,
-		MaxInstrs:        *instrs,
-		Seed:             *seed,
-		Workers:          *workers,
-		ExploreWorkers:   *exploreWorkers,
-		MaxSteps:         *maxSteps,
-		CorpusDir:        *corpusDir,
-		NoCache:          *noCache,
-		Resume:           *resume,
-		TestMaxSteps:     *testSteps,
-		Baseline:         bl,
-		NoSolverBatch:    !*solverBatch,
-		NoFastPath:       !*fastpath,
-		NoSubsume:        !*solverSubsume,
-		NoReduceDB:       !*reduceDB,
-	}
-	if cfg.Baseline == nil && *baselinePath != "" {
-		cfg.Baseline = triage.NewBaseline()
-	}
-	if *handlers != "" {
-		cfg.Handlers = strings.Split(*handlers, ",")
-	}
-	if *progress {
-		cfg.Progress = progressPrinter(os.Stderr)
+		cfg.Baseline = bl
+		if bl == nil {
+			cfg.Baseline = triage.NewBaseline()
+		}
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -648,14 +553,14 @@ func cmdTriage(args []string) {
 	opts := triage.Options{
 		Minimize:     *minimize,
 		Budget:       *budget,
-		TestMaxSteps: *testSteps,
-		Workers:      *workers,
+		TestMaxSteps: cf.testSteps,
+		Workers:      cf.workers,
 		Baseline:     bl,
 	}
-	if *corpusDir != "" && !*noCache {
+	if cf.corpusDir != "" && !cf.noCache {
 		// The triage cache rides in the same corpus; an unusable corpus just
 		// means uncached minimization, exactly like the campaign's fallback.
-		if crp, err := corpus.Open(*corpusDir); err == nil {
+		if crp, err := corpus.Open(cf.corpusDir); err == nil {
 			opts.Corpus = crp
 		}
 	}
@@ -734,28 +639,87 @@ func startProfiles(prefix string) (func(), error) {
 	}, nil
 }
 
-// validateCampaignFlags rejects flag values that would hang or silently
-// misbehave (a non-positive worker count, negative caps and budgets).
-func validateCampaignFlags(workers, exploreWorkers, cap, instrs, maxSteps, testSteps int, testTimeout, stageTimeout time.Duration) error {
+// campaignFlags is the campaign flag block the campaign and triage
+// subcommands share. testTimeout and stageTimeout are registered by the
+// campaign subcommand only; triage leaves them zero.
+type campaignFlags struct {
+	instrs, cap, workers, exploreWorkers, maxSteps, testSteps int
+	seed                                                      int64
+	handlers, corpusDir                                       string
+	resume, noCache, progress                                 bool
+	testTimeout, stageTimeout                                 time.Duration
+}
+
+// addCampaignFlags registers the shared campaign flags on fs.
+func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
+	f := &campaignFlags{}
+	fs.IntVar(&f.instrs, "instrs", 0, "max unique instructions (0 = all)")
+	fs.IntVar(&f.cap, "cap", 256, "paths per instruction")
+	fs.StringVar(&f.handlers, "handlers", "", "comma-separated handler keys")
+	fs.Int64Var(&f.seed, "seed", 1, "exploration seed")
+	fs.IntVar(&f.workers, "workers", runtime.NumCPU(), "parallel workers")
+	fs.IntVar(&f.exploreWorkers, "explore-workers", 0,
+		"workers inside each instruction's symbolic exploration (0 or 1 = sequential; never changes the report)")
+	fs.IntVar(&f.maxSteps, "maxsteps", 0, "per-path IR step cap (0 = default)")
+	fs.StringVar(&f.corpusDir, "corpus", "", "persistent test corpus directory (\"\" = no cache)")
+	fs.BoolVar(&f.resume, "resume", false, "also cache and reuse per-test execution outcomes")
+	fs.BoolVar(&f.noCache, "no-cache", false, "ignore cached artifacts (still refreshes the corpus)")
+	fs.IntVar(&f.testSteps, "test-steps", 0, "per-test emulator step budget (0 = default)")
+	fs.BoolVar(&f.progress, "progress", false, "print per-stage progress to stderr as the campaign runs")
+	return f
+}
+
+// validate rejects flag values that would hang or silently misbehave (a
+// non-positive worker count, negative caps and budgets).
+func (f *campaignFlags) validate() error {
 	switch {
-	case workers <= 0:
-		return fmt.Errorf("-workers must be >= 1 (got %d)", workers)
-	case exploreWorkers < 0:
-		return fmt.Errorf("-explore-workers must be >= 0 (got %d)", exploreWorkers)
-	case cap <= 0:
-		return fmt.Errorf("-cap must be >= 1 (got %d)", cap)
-	case instrs < 0:
-		return fmt.Errorf("-instrs must be >= 0 (got %d)", instrs)
-	case maxSteps < 0:
-		return fmt.Errorf("-maxsteps must be >= 0 (got %d)", maxSteps)
-	case testSteps < 0:
-		return fmt.Errorf("-test-steps must be >= 0 (got %d)", testSteps)
-	case testTimeout < 0:
-		return fmt.Errorf("-test-timeout must be >= 0 (got %v)", testTimeout)
-	case stageTimeout < 0:
-		return fmt.Errorf("-stage-timeout must be >= 0 (got %v)", stageTimeout)
+	case f.workers <= 0:
+		return fmt.Errorf("-workers must be >= 1 (got %d)", f.workers)
+	case f.exploreWorkers < 0:
+		return fmt.Errorf("-explore-workers must be >= 0 (got %d)", f.exploreWorkers)
+	case f.cap <= 0:
+		return fmt.Errorf("-cap must be >= 1 (got %d)", f.cap)
+	case f.instrs < 0:
+		return fmt.Errorf("-instrs must be >= 0 (got %d)", f.instrs)
+	case f.maxSteps < 0:
+		return fmt.Errorf("-maxsteps must be >= 0 (got %d)", f.maxSteps)
+	case f.testSteps < 0:
+		return fmt.Errorf("-test-steps must be >= 0 (got %d)", f.testSteps)
+	case f.testTimeout < 0:
+		return fmt.Errorf("-test-timeout must be >= 0 (got %v)", f.testTimeout)
+	case f.stageTimeout < 0:
+		return fmt.Errorf("-stage-timeout must be >= 0 (got %v)", f.stageTimeout)
 	}
 	return nil
+}
+
+// config validates the parsed flags and builds the campaign configuration
+// they describe.
+func (f *campaignFlags) config() (campaign.Config, error) {
+	if err := f.validate(); err != nil {
+		return campaign.Config{}, err
+	}
+	cfg := campaign.Config{
+		MaxPathsPerInstr: f.cap,
+		MaxInstrs:        f.instrs,
+		Seed:             f.seed,
+		Workers:          f.workers,
+		ExploreWorkers:   f.exploreWorkers,
+		MaxSteps:         f.maxSteps,
+		CorpusDir:        f.corpusDir,
+		NoCache:          f.noCache,
+		Resume:           f.resume,
+		TestMaxSteps:     f.testSteps,
+		TestTimeout:      f.testTimeout,
+		StageTimeout:     f.stageTimeout,
+	}
+	if f.handlers != "" {
+		cfg.Handlers = strings.Split(f.handlers, ",")
+	}
+	if f.progress {
+		cfg.Progress = progressPrinter(os.Stderr)
+	}
+	return cfg, nil
 }
 
 func validateHybridFlags(on bool, budget, workers int) error {

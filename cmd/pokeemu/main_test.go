@@ -45,6 +45,8 @@ func TestTraceUnknownImpl(t *testing.T) {
 
 // TestValidateCampaignFlags: edge-case flag values error instead of
 // hanging (workers) or misbehaving silently (negative caps and budgets).
+// The "triage-" cases parse a triage command line through the same shared
+// flag block, pinning that triage validates exactly like campaign does.
 func TestValidateCampaignFlags(t *testing.T) {
 	cases := []struct {
 		name                                            string
@@ -65,17 +67,49 @@ func TestValidateCampaignFlags(t *testing.T) {
 		{"negative-test-timeout", 1, 0, 8, 0, 0, 0, -time.Second, 0, "-test-timeout"},
 		{"negative-stage-timeout", 1, 0, 8, 0, 0, 0, 0, -time.Second, "-stage-timeout"},
 	}
+	check := func(t *testing.T, err error, wantErr string) {
+		t.Helper()
+		if wantErr == "" {
+			if err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+			return
+		}
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("err = %v, want mention of %q", err, wantErr)
+		}
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateCampaignFlags(c.workers, c.exWorkers, c.cap, c.instrs, c.steps, c.tsSteps, c.timeout, c.stage)
-			if c.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
+			f := campaignFlags{workers: c.workers, exploreWorkers: c.exWorkers, cap: c.cap, instrs: c.instrs,
+				maxSteps: c.steps, testSteps: c.tsSteps, testTimeout: c.timeout, stageTimeout: c.stage}
+			_, err := f.config()
+			check(t, err, c.wantErr)
+		})
+	}
+
+	triageCases := []struct {
+		name    string
+		args    []string
+		wantErr string
+	}{
+		{"triage-ok", []string{"-cap", "8", "-workers", "2", "-handlers", "push_r"}, ""},
+		{"triage-zero-cap", []string{"-cap", "0", "-handlers", "push_r"}, "-cap"},
+		{"triage-zero-workers", []string{"-workers", "0", "-handlers", "push_r"}, "-workers"},
+		{"triage-negative-explore-workers", []string{"-explore-workers", "-2"}, "-explore-workers"},
+		{"triage-negative-test-steps", []string{"-test-steps", "-1"}, "-test-steps"},
+	}
+	for _, c := range triageCases {
+		t.Run(c.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("triage", flag.ContinueOnError)
+			cf := addCampaignFlags(fs)
+			if err := fs.Parse(c.args); err != nil {
+				t.Fatal(err)
 			}
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("err = %v, want mention of %q", err, c.wantErr)
+			cfg, err := cf.config()
+			check(t, err, c.wantErr)
+			if err == nil && (cfg.MaxPathsPerInstr != 8 || cfg.Workers != 2 || len(cfg.Handlers) != 1) {
+				t.Errorf("config %+v does not reflect %v", cfg, c.args)
 			}
 		})
 	}

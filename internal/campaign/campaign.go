@@ -68,11 +68,11 @@ type Config struct {
 	// It is deliberately excluded from corpus cache keys.
 	ExploreWorkers int
 
-	// NoSolverBatch disables the batched solver front-end (incremental
-	// assumption-trail reuse across sibling path queries). The zero value
-	// enables batching. The setting changes which models the solver
-	// returns, so it is part of the corpus cache namespace.
-	NoSolverBatch bool
+	// Solver holds the exploration solver's ablation switches. The zero
+	// value is production. A non-zero value changes which models the
+	// solver returns, so its Label is part of the corpus cache namespace.
+	// Reachable from tests and benchmarks only, like NoFastPath.
+	Solver solver.Options
 	// NoFastPath disables celer's direct-dispatch fast path, forcing every
 	// step through the shared-cache dispatcher and the per-execution
 	// re-lowering slow path. The zero value enables the fast path. Reports
@@ -87,25 +87,6 @@ type Config struct {
 	// byte-identical to a vote-free campaign. Voting bypasses the -resume
 	// execution cache (cached outcomes hold only the classic trio).
 	Vote bool
-	// Portfolio races that many deterministically-seeded solver clones
-	// against the primary solver on conflict-budgeted queries (0 disables).
-	// The portfolio verdict is a pure function of the query sequence, but
-	// it can resolve queries the primary gives up on, so — like
-	// NoSolverBatch — it is part of the corpus cache namespace.
-	Portfolio int
-	// NoSubsume disables the solver's model-subsumption fast path (a
-	// sibling query whose assumptions all hold under the last Sat model is
-	// answered Sat without solving). Verdicts and the explored path set
-	// are identical either way, but the models a query returns move, so —
-	// like NoSolverBatch — it is part of the corpus cache namespace.
-	NoSubsume bool
-	// NoReduceDB freezes the solver's learned-clause database, disabling
-	// the periodic LBD-based reduceDB pass. Part of the corpus cache
-	// namespace for the same model-movement reason.
-	NoReduceDB bool
-	// RestartBase overrides the solver's Luby restart unit (0 = default
-	// 100). Part of the corpus cache namespace.
-	RestartBase int
 
 	// CorpusDir roots the persistent test corpus; "" disables it.
 	CorpusDir string
@@ -209,7 +190,6 @@ func (c *Config) Validate() error {
 		{"ExploreWorkers", c.ExploreWorkers},
 		{"MaxSteps", c.MaxSteps},
 		{"TestMaxSteps", c.TestMaxSteps},
-		{"RestartBase", c.RestartBase},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("campaign: %s must be >= 0 (got %d)", f.name, f.v)
@@ -288,8 +268,10 @@ type SolverStats struct {
 	Restarts      int64
 	ReduceRuns    int64
 	ReduceRemoved int64
-	// PortfolioRaces/PortfolioCloneWins count budgeted queries raced by the
-	// solver portfolio and the races a seeded clone decided.
+	// PortfolioRaces and PortfolioCloneWins are always zero: the solver
+	// portfolio they counted has been removed. They remain only because
+	// the benchmark module (perfbench) still names them, and go with the
+	// next change to that module.
 	PortfolioRaces     int64
 	PortfolioCloneWins int64
 }
@@ -526,7 +508,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	memoHits0, memoMisses0 := solver.MemoTotals()
 	internHits0, internMisses0, _ := expr.InternStats()
 	reused0 := solver.ReusedLevelsTotal()
-	races0, cloneWins0 := solver.PortfolioTotals()
 	core0 := solver.StatsSnapshot()
 	defer func() {
 		res.Solver.Queries = solver.QueriesTotal() - queries0
@@ -535,8 +516,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		ih, im, _ := expr.InternStats()
 		res.Solver.InternHits, res.Solver.InternMisses = ih-internHits0, im-internMisses0
 		res.Solver.ReusedLevels = solver.ReusedLevelsTotal() - reused0
-		ra, cw := solver.PortfolioTotals()
-		res.Solver.PortfolioRaces, res.Solver.PortfolioCloneWins = ra-races0, cw-cloneWins0
 		core1 := solver.StatsSnapshot()
 		res.Solver.SubsumeHits = core1.SubsumeHits - core0.SubsumeHits
 		res.Solver.Restarts = core1.Restarts - core0.Restarts
@@ -606,33 +585,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	opts.MaxPaths = cfg.MaxPathsPerInstr
 	opts.Seed = cfg.Seed
 	opts.Workers = cfg.ExploreWorkers
-	opts.NoSolverBatch = cfg.NoSolverBatch
-	opts.Portfolio = cfg.Portfolio
-	opts.NoSubsume = cfg.NoSubsume
-	opts.NoReduceDB = cfg.NoReduceDB
-	opts.RestartBase = cfg.RestartBase
+	opts.Solver = cfg.Solver
 	if cfg.MaxSteps > 0 {
 		opts.MaxSteps = cfg.MaxSteps
 	}
 	// Solver-mode settings change which models the solver returns, so
 	// non-default modes get their own corpus namespace; the default label
 	// is unchanged so existing corpora stay warm.
-	solverLabel := configLabel
-	if cfg.NoSolverBatch {
-		solverLabel += "+nobatch"
-	}
-	if cfg.Portfolio > 0 {
-		solverLabel += fmt.Sprintf("+portfolio%d", cfg.Portfolio)
-	}
-	if cfg.NoSubsume {
-		solverLabel += "+nosub"
-	}
-	if cfg.NoReduceDB {
-		solverLabel += "+noreduce"
-	}
-	if cfg.RestartBase > 0 {
-		solverLabel += fmt.Sprintf("+rb%d", cfg.RestartBase)
-	}
+	solverLabel := configLabel + cfg.Solver.Label()
 	sumKey := corpus.SummaryKey{Config: solverLabel, SymexVersion: symex.SerialVersion}
 	var (
 		exOnce        sync.Once
@@ -1373,10 +1333,6 @@ func (r *Result) TimingTable() string {
 	if r.Solver.ReduceRuns > 0 {
 		fmt.Fprintf(&b, "solver reduce: %d passes dropped %d learned clauses (%d restarts)\n",
 			r.Solver.ReduceRuns, r.Solver.ReduceRemoved, r.Solver.Restarts)
-	}
-	if r.Solver.PortfolioRaces > 0 {
-		fmt.Fprintf(&b, "solver portfolio: %d races, %d clone wins\n",
-			r.Solver.PortfolioRaces, r.Solver.PortfolioCloneWins)
 	}
 	var explored []*InstrReport
 	for _, rep := range r.Reports {

@@ -3,6 +3,8 @@ package campaign
 import (
 	"reflect"
 	"testing"
+
+	"pokeemu/internal/solver"
 )
 
 // TestWorkerDeterminism is the campaign's determinism property: the Result
@@ -114,7 +116,7 @@ func TestSolverBatchDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NoSolverBatch = true
+	cfg.Solver = solver.Options{NoBatch: true}
 	plain, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -228,25 +228,6 @@ type Request struct {
 	// never affects the report.
 	HybridWorkers int `json:"hybrid_workers,omitempty"`
 
-	// NoSolverBatch disables the batched solver front-end (incremental
-	// solving with shared assumption prefixes); NoFastPath disables the
-	// Lo-Fi emulator's direct-dispatch fast path. Both default off (the
-	// fast configurations). Portfolio races that many extra seeded solver
-	// clones per budgeted query (0 = off; stays deterministic).
-	NoSolverBatch bool `json:"no_solver_batch,omitempty"`
-	NoFastPath    bool `json:"no_fastpath,omitempty"`
-	Portfolio     int  `json:"portfolio,omitempty"`
-
-	// NoSubsume disables the solver's model-subsumption fast path;
-	// NoReduceDB freezes the learned-clause database (no reduceDB);
-	// RestartBase overrides the Luby restart unit (0 = default). All three
-	// default off/zero — the fast configuration — and, like
-	// no_solver_batch, select their own corpus cache namespace because
-	// they move which models Sat queries return.
-	NoSubsume   bool `json:"no_subsume,omitempty"`
-	NoReduceDB  bool `json:"no_reduce_db,omitempty"`
-	RestartBase int  `json:"restart_base,omitempty"`
-
 	// Vote enables N-way voted verdicts: every test additionally runs on
 	// lento and the three emulators are partitioned per test, yielding the
 	// report's per-emulator blame column. Voting bypasses the resume
@@ -263,12 +244,6 @@ func (s *Server) configFor(req *Request) (campaign.Config, error) {
 	}
 	if req.StageTimeoutMS < 0 {
 		return campaign.Config{}, fmt.Errorf("campaign: stage_timeout_ms must be >= 0 (got %d)", req.StageTimeoutMS)
-	}
-	if req.Portfolio < 0 {
-		return campaign.Config{}, fmt.Errorf("campaign: portfolio must be >= 0 (got %d)", req.Portfolio)
-	}
-	if req.RestartBase < 0 {
-		return campaign.Config{}, fmt.Errorf("campaign: restart_base must be >= 0 (got %d)", req.RestartBase)
 	}
 	if req.Seed == 0 {
 		req.Seed = 1
@@ -299,12 +274,6 @@ func (s *Server) configFor(req *Request) (campaign.Config, error) {
 		TestMaxSteps:     req.TestMaxSteps,
 		TestTimeout:      time.Duration(req.TestTimeoutMS) * time.Millisecond,
 		StageTimeout:     time.Duration(req.StageTimeoutMS) * time.Millisecond,
-		NoSolverBatch:    req.NoSolverBatch,
-		NoFastPath:       req.NoFastPath,
-		Portfolio:        req.Portfolio,
-		NoSubsume:        req.NoSubsume,
-		NoReduceDB:       req.NoReduceDB,
-		RestartBase:      req.RestartBase,
 		Vote:             req.Vote,
 		// The job captures the baseline current at submission; a later PUT
 		// replaces the server's pointer without disturbing running jobs.

@@ -379,6 +379,31 @@ func TestJobPanicDoesNotKillDaemon(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsRemovedFields: the solver and celer tuning fields are
+// gone from the request schema, and strict decoding turns a request that
+// still sends one into a 400 naming the unknown field rather than a
+// silently different campaign.
+func TestSubmitRejectsRemovedFields(t *testing.T) {
+	_, ts := startServer(t, Options{
+		runCampaign: func(context.Context, campaign.Config) (*campaign.Result, error) {
+			t.Error("a rejected request started a campaign")
+			return stubResult(1), nil
+		},
+	})
+	for _, body := range []string{
+		`{"handlers":["push_r"],"portfolio":2}`,
+		`{"handlers":["push_r"],"no_solver_batch":true}`,
+		`{"handlers":["push_r"],"no_fastpath":true}`,
+		`{"handlers":["push_r"],"no_subsume":true}`,
+		`{"handlers":["push_r"],"no_reduce_db":true}`,
+	} {
+		code, b := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns", body)
+		if code != http.StatusBadRequest || !bytes.Contains(b, []byte("unknown field")) {
+			t.Errorf("submit(%s) = %d (%s), want 400 with unknown field", body, code, b)
+		}
+	}
+}
+
 // TestSubmitValidationAndBackpressure: malformed and negative configs are
 // 400s; a full queue and a canceled queued job behave as documented.
 func TestSubmitValidationAndBackpressure(t *testing.T) {

@@ -212,42 +212,3 @@ func TestBudgetLearntsPreserveVerdicts(t *testing.T) {
 		}
 	}
 }
-
-// TestPortfolioDeterministic: the portfolio race must be a pure function of
-// the query sequence — two identical instances agree on every verdict, and
-// decisive verdicts match an unbudgeted reference solver.
-func TestPortfolioDeterministic(t *testing.T) {
-	queries := []*expr.Expr{
-		hardUnsat(),
-		expr.Ugt(expr.Var(8, "qa"), expr.Const(8, 7)),
-		expr.Ne(expr.Mul(expr.Var(5, "qm"), expr.Const(5, 3)),
-			expr.Mul(expr.Const(5, 3), expr.Var(5, "qm"))),
-	}
-	run := func() []Status {
-		b := NewBV()
-		b.Reuse = true
-		b.MaxConflicts = 40
-		b.Portfolio = 3
-		var out []Status
-		for _, q := range queries {
-			out = append(out, b.CheckLits([]Lit{b.LitFor(q)}))
-		}
-		return out
-	}
-	first := run()
-	second := run()
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("query %d: run1=%v run2=%v", i, first[i], second[i])
-		}
-	}
-	for i, q := range queries {
-		if first[i] == Unknown {
-			continue
-		}
-		ref := NewBV()
-		if want := ref.CheckLits([]Lit{ref.LitFor(q)}); first[i] != want {
-			t.Fatalf("query %d: portfolio=%v reference=%v", i, first[i], want)
-		}
-	}
-}

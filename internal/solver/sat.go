@@ -11,7 +11,6 @@ package solver
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Lit is a SAT literal: variable index v encoded as 2v (positive) or
@@ -155,16 +154,11 @@ type CDCL struct {
 	RestartBase int64
 
 	// Seed perturbs the decision heuristic and restart schedule
-	// deterministically — portfolio clones run the same query under
-	// different seeds so at least one may escape a hard search region.
-	// Zero means the unperturbed default heuristics.
+	// deterministically, so the same formula can be searched along a
+	// different trajectory (the self-verification harness and the restart
+	// fuzz target use this). Zero means the unperturbed default heuristics.
 	Seed uint64
 	rng  uint64
-
-	// Stop, when non-nil, is polled once per conflict; setting it to a
-	// non-zero value makes Solve return Unknown at the next conflict. The
-	// portfolio front-end uses it to retire losing clones early.
-	Stop *int32
 }
 
 // NewSat returns an empty solver.
@@ -178,56 +172,6 @@ func (s *CDCL) NumVars() int { return len(s.assign) / 2 }
 // NumClauses returns the number of clauses currently attached (problem
 // plus retained learned clauses).
 func (s *CDCL) NumClauses() int { return s.nclauses }
-
-// Clone deep-copies the solver — the clause arena included, since
-// propagate reorders literals in place — so a portfolio clone can search
-// the same formula under a different Seed without sharing any mutable
-// state with the primary. The model snapshot is shared: it is immutable
-// once taken.
-func (s *CDCL) Clone() *CDCL {
-	c := &CDCL{
-		nclauses:     s.nclauses,
-		qhead:        s.qhead,
-		varInc:       s.varInc,
-		lbdToken:     s.lbdToken,
-		ok:           s.ok,
-		model:        s.model,
-		Conflicts:    s.Conflicts,
-		Decisions:    s.Decisions,
-		Props:        s.Props,
-		Restarts:     s.Restarts,
-		Reduces:      s.Reduces,
-		Removed:      s.Removed,
-		MaxConflicts: s.MaxConflicts,
-		Reuse:        s.Reuse,
-		ReusedLevels: s.ReusedLevels,
-		NoReduce:     s.NoReduce,
-		ReduceBase:   s.ReduceBase,
-		reduceNext:   s.reduceNext,
-		RestartBase:  s.RestartBase,
-		Seed:         s.Seed,
-		rng:          s.rng,
-	}
-	c.arena = append([]int32(nil), s.arena...)
-	c.learntRefs = append([]int32(nil), s.learntRefs...)
-	c.watches = make([][]watcher, len(s.watches))
-	for i, w := range s.watches {
-		c.watches[i] = append([]watcher(nil), w...)
-	}
-	c.assign = append([]int8(nil), s.assign...)
-	c.level = append([]int32(nil), s.level...)
-	c.reason = append([]int32(nil), s.reason...)
-	c.trail = append([]Lit(nil), s.trail...)
-	c.trailLim = append([]int(nil), s.trailLim...)
-	c.activity = append([]float64(nil), s.activity...)
-	c.phase = append([]bool(nil), s.phase...)
-	c.seen = append([]bool(nil), s.seen...)
-	c.lbdStamp = append([]int64(nil), s.lbdStamp...)
-	c.keptAssumps = append([]Lit(nil), s.keptAssumps...)
-	c.heap.heap = append([]int(nil), s.heap.heap...)
-	c.heap.pos = append([]int(nil), s.heap.pos...)
-	return c
-}
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *CDCL) NewVar() int {
@@ -835,10 +779,6 @@ func (s *CDCL) Solve(assumps []Lit) Status {
 			s.Conflicts++
 			conflictsHere++
 			conflictsTotalHere++
-			if s.Stop != nil && atomic.LoadInt32(s.Stop) != 0 {
-				s.cancelUntil(0)
-				return Unknown
-			}
 			if s.MaxConflicts > 0 && conflictsTotalHere > s.MaxConflicts {
 				// Budget exhausted: back out cleanly. Clauses learned so
 				// far stay attached (they are implied, so later calls
@@ -936,7 +876,7 @@ func (s *CDCL) Solve(assumps []Lit) Status {
 }
 
 // splitmix64 advances a splitmix64 PRNG state; used only for the seeded
-// portfolio heuristic perturbation, never on the default path.
+// heuristic perturbation, never on the default path.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

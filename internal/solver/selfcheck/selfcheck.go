@@ -97,8 +97,8 @@ func RandomDifferential(seeds int) error {
 			{"arena+reduce", func() *solver.CDCL {
 				return newCDCL(nVars, clauses, func(s *solver.CDCL) { s.ReduceBase = 20 })
 			}},
-			// Production shape under a portfolio-style seed (perturbed
-			// restarts and polarities).
+			// Production shape under a nonzero Seed (perturbed restarts
+			// and polarities).
 			{"arena+reduce+seed", func() *solver.CDCL {
 				return newCDCL(nVars, clauses, func(s *solver.CDCL) {
 					s.ReduceBase = 20
@@ -192,9 +192,7 @@ func CampaignReplay(handlers []string, maxPaths int) error {
 	prod := symex.DefaultOptions()
 	prod.MaxPaths = maxPaths
 	refOpts := prod
-	refOpts.NoSubsume = true
-	refOpts.NoReduceDB = true
-	refOpts.NoSolverBatch = true
+	refOpts.Solver = solver.Options{NoBatch: true, NoSubsume: true, NoReduce: true}
 
 	got, err := explore(prod)
 	if err != nil {
