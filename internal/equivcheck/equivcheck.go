@@ -49,9 +49,10 @@ import (
 )
 
 // SemVersion versions the disequivalence-checking semantics (the lifter,
-// the query shape, and the output set). It participates in the corpus
-// cache key so a checker change invalidates cached verdicts.
-const SemVersion = 1
+// the query shape, the solver encoding, and the output set). It
+// participates in the corpus cache key so a checker change invalidates
+// cached verdicts.
+const SemVersion = 2
 
 // ConfigLabel names the fidelis semantics configuration checked against
 // celer (the corpus cache key's Config field).
@@ -75,8 +76,8 @@ const (
 const DefaultPathCap = 256
 
 // DefaultMaxConflicts is the per-query SAT conflict budget: high enough
-// that every lifted handler family except 32-bit signed division proves
-// out, low enough that a blow-up degrades to UNKNOWN in seconds.
+// that every lifted handler family proves out, low enough that a blow-up
+// degrades to UNKNOWN in seconds.
 const DefaultMaxConflicts = 100_000
 
 // DefaultGateHandlers is the seeded handler subset the CI gate checks: a
@@ -456,14 +457,14 @@ func checkOne(u *core.UniqueInstr, opts *Options, env *checkEnv) *HandlerVerdict
 	}
 
 	// Pairwise path product over one solver instance: the assumption memo
-	// and intern table amortize shared sub-terms across all queries.
-	// The disequality solver runs with reduceDB off (and no subsumption):
-	// verdicts here sit against a MaxConflicts budget boundary and the
-	// counterexample models feed the pinned known-diverges baseline, so
-	// the search trajectory is frozen at the pre-reduction behavior to
-	// keep the full-matrix verdict counts and cached entries stable.
+	// and intern table amortize shared sub-terms across all queries, and
+	// gate hashing (Strash) folds the two sides' copies of a common
+	// circuit into one, so a miter over equal circuits is decided by unit
+	// propagation instead of a CDCL search (the restoring dividers of the
+	// idiv family are the case that needs it). No subsumption: every
+	// disequality query is a fresh UNSAT proof obligation.
 	bv := solver.NewBV()
-	bv.NoReduce = true
+	bv.Strash = true
 	if opts.MaxConflicts > 0 {
 		bv.MaxConflicts = opts.MaxConflicts
 	}

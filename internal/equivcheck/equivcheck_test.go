@@ -1,6 +1,7 @@
 package equivcheck
 
 import (
+	"encoding/json"
 	"flag"
 	"math/rand"
 	"os"
@@ -193,6 +194,96 @@ func compareGolden(t *testing.T, path string, got []byte) {
 	if string(want) != string(got) {
 		t.Errorf("report differs from %s (format changes must be deliberate; -update to regenerate):\n--- want:\n%s\n--- got:\n%s",
 			path, want, got)
+	}
+}
+
+// TestFullMatrixGolden pins the verdict matrix over every handler in the
+// instruction set, byte for byte and for two worker counts: 430 EQUIV, 20
+// DIVERGES that are exactly the pinned alias findings and all replay
+// concretely, and 222 UNKNOWN that are all out of the lifter's scope (no
+// solver budget gives up). Regenerate deliberately with:
+//
+//	go test ./internal/equivcheck -run TestFullMatrixGolden -update
+func TestFullMatrixGolden(t *testing.T) {
+	known, err := LoadKnownDiverges(filepath.Join("testdata", "known_diverges.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	knownSet := make(map[string]bool)
+	for _, h := range known.Handlers {
+		knownSet[h] = true
+	}
+	var first string
+	for _, workers := range []int{1, 4} {
+		rep, err := Run(Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		render := rep.Render()
+		if first == "" {
+			first = render
+			compareGolden(t, filepath.Join("testdata", "matrix.golden"), []byte(render))
+		} else if render != first {
+			t.Errorf("full matrix differs between workers=1 and workers=%d", workers)
+		}
+		if rep.Equiv != 430 || rep.Diverges != 20 || rep.Unknown != 222 {
+			t.Errorf("workers=%d: %d EQUIV / %d DIVERGES / %d UNKNOWN, want 430 / 20 / 222",
+				workers, rep.Equiv, rep.Diverges, rep.Unknown)
+		}
+		diverges := 0
+		for _, v := range rep.Handlers {
+			switch v.Verdict {
+			case VerdictDiverges:
+				diverges++
+				if !knownSet[v.Handler] {
+					t.Errorf("%s: DIVERGES outside the known set", v.Handler)
+				}
+				if v.CE == nil || !v.CE.Replayed {
+					t.Errorf("%s: DIVERGES without a reproduced replay", v.Handler)
+				}
+			case VerdictUnknown:
+				if strings.HasPrefix(v.Stage, "solver-budget:") {
+					t.Errorf("%s: UNKNOWN at %q", v.Handler, v.Stage)
+				}
+			}
+		}
+		if diverges != len(knownSet) {
+			t.Errorf("workers=%d: %d DIVERGES, want the %d known", workers, diverges, len(knownSet))
+		}
+	}
+}
+
+// TestSemVersionRechecksCachedVerdicts: a verdict cached under an older
+// SemVersion (idiv_rmv's conflict-budget UNKNOWN, which the gate-hashing
+// solver proves) has a different corpus key, so a run re-checks the
+// handler instead of serving the stale answer.
+func TestSemVersionRechecksCachedVerdicts(t *testing.T) {
+	const handler = "idiv_rmv"
+	key := cacheKey(handler, &Options{})
+	stale := key
+	stale.SemVersion = 1
+	if key.SemVersion != 2 || key.Hash() == stale.Hash() {
+		t.Fatalf("SemVersion %d key hash %s does not differ from version 1", key.SemVersion, key.Hash())
+	}
+	crp, err := corpus.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(&HandlerVerdict{Handler: handler, Verdict: VerdictUnknown,
+		Stage: "solver-budget: conflict limit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crp.PutEquiv(&corpus.EquivEntry{Key: stale, Verdict: old}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(Options{Handlers: []string{handler}, Corpus: crp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := rep.Handlers[0]; v.Cached || v.Verdict != VerdictEquiv {
+		t.Errorf("%s: verdict %s (cached %v, stage %q), want a fresh EQUIV",
+			handler, v.Verdict, v.Cached, v.Stage)
 	}
 }
 

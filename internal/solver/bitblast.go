@@ -66,7 +66,32 @@ type BV struct {
 	// NoReduce passes through to the CDCL core on every check (see the
 	// CDCL field of the same name).
 	NoReduce bool
+
+	// Strash turns on structural hashing of and/xor/mux gates: a gate whose
+	// normalized inputs match an existing gate returns that gate's output
+	// literal and adds no clauses, so two differently shaped terms that
+	// lower to the same circuit (the two restoring dividers of an idiv
+	// miter, say) share one copy of it. Off, operands are never reordered
+	// and the CNF is exactly the unshared encoding. Sharing renumbers
+	// literals, which moves SAT models, so it stays off wherever a model
+	// feeds a pinned golden or a cached test (the exploration solver).
+	Strash bool
+	gates  map[gateKey]Lit
 }
+
+// gateKey identifies one strashed gate by its kind and normalized inputs.
+type gateKey struct {
+	op      gateOp
+	a, b, c Lit
+}
+
+type gateOp uint8
+
+const (
+	gateAnd gateOp = iota
+	gateXor
+	gateMux
+)
 
 // memoEntry caches the outcome of one assumption set: the status, and for
 // Sat the full model snapshot so a hit can restore it for Model() callers.
@@ -77,10 +102,10 @@ type memoEntry struct {
 
 const (
 	// checkMemoCap bounds the assumption-set memo; encodeCacheCap bounds the
-	// translation caches (ptr/hash/hmemo). Both are cleared wholesale when
-	// full: dropping entries only costs re-solving/re-encoding, never
-	// soundness, and a hard cap is what keeps an 8192-path exploration from
-	// growing memory without bound.
+	// translation caches (ptr/hash/hmemo) and the strash gate map. All are
+	// cleared wholesale when full: dropping entries only costs
+	// re-solving/re-encoding, never soundness, and a hard cap is what keeps
+	// an 8192-path exploration from growing memory without bound.
 	checkMemoCap   = 1 << 14
 	encodeCacheCap = 1 << 16
 )
@@ -145,6 +170,29 @@ func (b *BV) isFalse(l Lit) bool { return l == b.fls }
 // fresh allocates a new gate output literal.
 func (b *BV) fresh() Lit { return MkLit(b.sat.NewVar(), false) }
 
+// shared returns the strashed output of gate k, or false if there is none
+// (always, with Strash off).
+func (b *BV) shared(k gateKey) (Lit, bool) {
+	if !b.Strash {
+		return 0, false
+	}
+	o, ok := b.gates[k]
+	return o, ok
+}
+
+// share records o as the output of gate k. Like the translation caches,
+// the map is dropped wholesale at encodeCacheCap: the gate's clauses stay
+// in the CNF, so forgetting it only costs a duplicate gate later.
+func (b *BV) share(k gateKey, o Lit) {
+	if !b.Strash {
+		return
+	}
+	if b.gates == nil || len(b.gates) >= encodeCacheCap {
+		b.gates = make(map[gateKey]Lit)
+	}
+	b.gates[k] = o
+}
+
 // and encodes o ↔ x ∧ y.
 func (b *BV) and(x, y Lit) Lit {
 	if b.isFalse(x) || b.isFalse(y) {
@@ -162,10 +210,18 @@ func (b *BV) and(x, y Lit) Lit {
 	if x == y.Neg() {
 		return b.fls
 	}
+	if b.Strash && y < x {
+		x, y = y, x
+	}
+	k := gateKey{op: gateAnd, a: x, b: y}
+	if o, ok := b.shared(k); ok {
+		return o
+	}
 	o := b.fresh()
 	b.sat.AddClause(o.Neg(), x)
 	b.sat.AddClause(o.Neg(), y)
 	b.sat.AddClause(o, x.Neg(), y.Neg())
+	b.share(k, o)
 	return o
 }
 
@@ -194,12 +250,27 @@ func (b *BV) xor(x, y Lit) Lit {
 	if x == y.Neg() {
 		return b.tru
 	}
+	// ¬x ⊕ y = x ⊕ ¬y = ¬(x ⊕ y): strash factors the input negations out
+	// onto the output so all four sign combinations share one gate.
+	var flip Lit
+	if b.Strash {
+		flip = (x ^ y) & 1
+		x, y = x&^1, y&^1
+		if y < x {
+			x, y = y, x
+		}
+	}
+	k := gateKey{op: gateXor, a: x, b: y}
+	if o, ok := b.shared(k); ok {
+		return o ^ flip
+	}
 	o := b.fresh()
 	b.sat.AddClause(o.Neg(), x, y)
 	b.sat.AddClause(o.Neg(), x.Neg(), y.Neg())
 	b.sat.AddClause(o, x.Neg(), y)
 	b.sat.AddClause(o, x, y.Neg())
-	return o
+	b.share(k, o)
+	return o ^ flip
 }
 
 // mux encodes o ↔ (c ? t : f).
@@ -219,11 +290,19 @@ func (b *BV) mux(c, t, f Lit) Lit {
 	if b.isFalse(t) && b.isTrue(f) {
 		return c.Neg()
 	}
+	if b.Strash && c.Sign() {
+		c, t, f = c.Neg(), f, t
+	}
+	k := gateKey{op: gateMux, a: c, b: t, c: f}
+	if o, ok := b.shared(k); ok {
+		return o
+	}
 	o := b.fresh()
 	b.sat.AddClause(c.Neg(), t.Neg(), o)
 	b.sat.AddClause(c.Neg(), t, o.Neg())
 	b.sat.AddClause(c, f.Neg(), o)
 	b.sat.AddClause(c, f, o.Neg())
+	b.share(k, o)
 	return o
 }
 

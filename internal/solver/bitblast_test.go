@@ -143,44 +143,61 @@ func TestBVSignedComparison(t *testing.T) {
 // random pinned environment, the solver must (a) accept the true value and
 // (b) reject any other value.
 func TestBVAgainstEval(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	for iter := 0; iter < 60; iter++ {
-		e := randomBVExpr(r, 3, 16)
-		env := map[string]uint64{"a": r.Uint64() & 0xffff, "b": r.Uint64() & 0xffff}
-		want := expr.Eval(e, env)
-		b := NewBV()
-		pinA := expr.Eq(expr.Var(16, "a"), expr.Const(16, env["a"]))
-		pinB := expr.Eq(expr.Var(16, "b"), expr.Const(16, env["b"]))
-		okC := expr.Eq(e, expr.Const(e.Width, want))
-		if got := b.Check([]*expr.Expr{pinA, pinB, okC}); got != Sat {
-			t.Fatalf("iter %d: true value rejected\nexpr: %v\nenv: %#v want %#x",
-				iter, e, env, want)
-		}
-		if got := b.Check([]*expr.Expr{pinA, pinB, expr.Not(okC)}); got != Unsat {
-			t.Fatalf("iter %d: wrong value accepted (model %#x)\nexpr: %v\nenv: %#v want %#x",
-				iter, b.ModelVal("a"), e, env, want)
-		}
+	for _, strash := range []bool{false, true} {
+		t.Run(strashName(strash), func(t *testing.T) {
+			r := rand.New(rand.NewSource(99))
+			for iter := 0; iter < 60; iter++ {
+				e := randomBVExpr(r, 3, 16)
+				env := map[string]uint64{"a": r.Uint64() & 0xffff, "b": r.Uint64() & 0xffff}
+				want := expr.Eval(e, env)
+				b := NewBV()
+				b.Strash = strash
+				pinA := expr.Eq(expr.Var(16, "a"), expr.Const(16, env["a"]))
+				pinB := expr.Eq(expr.Var(16, "b"), expr.Const(16, env["b"]))
+				okC := expr.Eq(e, expr.Const(e.Width, want))
+				if got := b.Check([]*expr.Expr{pinA, pinB, okC}); got != Sat {
+					t.Fatalf("iter %d: true value rejected\nexpr: %v\nenv: %#v want %#x",
+						iter, e, env, want)
+				}
+				if got := b.Check([]*expr.Expr{pinA, pinB, expr.Not(okC)}); got != Unsat {
+					t.Fatalf("iter %d: wrong value accepted (model %#x)\nexpr: %v\nenv: %#v want %#x",
+						iter, b.ModelVal("a"), e, env, want)
+				}
+			}
+		})
 	}
 }
 
 // TestBVModelSatisfies: whenever Check returns Sat, evaluating the assumptions
 // under the returned model must yield true.
 func TestBVModelSatisfies(t *testing.T) {
-	r := rand.New(rand.NewSource(123))
-	for iter := 0; iter < 60; iter++ {
-		e := randomBVExpr(r, 3, 16)
-		target := expr.Const(e.Width, r.Uint64()&expr.Mask(e.Width))
-		cond := expr.Eq(e, target)
-		b := NewBV()
-		if b.Check([]*expr.Expr{cond}) != Sat {
-			continue // this target value may genuinely be infeasible
-		}
-		m := b.Model()
-		if expr.Eval(cond, m) != 1 {
-			t.Fatalf("iter %d: model does not satisfy condition\nexpr: %v\nmodel: %#v",
-				iter, cond, m)
-		}
+	for _, strash := range []bool{false, true} {
+		t.Run(strashName(strash), func(t *testing.T) {
+			r := rand.New(rand.NewSource(123))
+			for iter := 0; iter < 60; iter++ {
+				e := randomBVExpr(r, 3, 16)
+				target := expr.Const(e.Width, r.Uint64()&expr.Mask(e.Width))
+				cond := expr.Eq(e, target)
+				b := NewBV()
+				b.Strash = strash
+				if b.Check([]*expr.Expr{cond}) != Sat {
+					continue // this target value may genuinely be infeasible
+				}
+				m := b.Model()
+				if expr.Eval(cond, m) != 1 {
+					t.Fatalf("iter %d: model does not satisfy condition\nexpr: %v\nmodel: %#v",
+						iter, cond, m)
+				}
+			}
+		})
 	}
+}
+
+func strashName(strash bool) string {
+	if strash {
+		return "strash"
+	}
+	return "nostrash"
 }
 
 func randomBVExpr(r *rand.Rand, depth int, w uint8) *expr.Expr {
@@ -247,4 +264,82 @@ func TestBVWidthConflictPanics(t *testing.T) {
 		}
 	}()
 	b.Bits(expr.Var(16, "w"))
+}
+
+// TestStrashSharesGates: with Strash on, rebuilding an and/xor/mux gate with
+// swapped operands, negated xor inputs, or a negated mux condition returns
+// the existing output (complemented where the normalization says so) and
+// allocates no variable or clause; with Strash off every rebuild is a
+// fresh gate.
+func TestStrashSharesGates(t *testing.T) {
+	b := NewBV()
+	b.Strash = true
+	x, y, c := b.fresh(), b.fresh(), b.fresh()
+	and, xor, mux := b.and(x, y), b.xor(x, y), b.mux(c, x, y)
+	vars, clauses := b.NumVarsSAT(), b.NumClauses()
+	for _, tc := range []struct {
+		name      string
+		got, want Lit
+	}{
+		{"and swapped", b.and(y, x), and},
+		{"xor swapped", b.xor(y, x), xor},
+		{"xor ¬x", b.xor(x.Neg(), y), xor.Neg()},
+		{"xor ¬y swapped", b.xor(y.Neg(), x), xor.Neg()},
+		{"xor ¬x ¬y", b.xor(x.Neg(), y.Neg()), xor},
+		{"mux ¬c", b.mux(c.Neg(), y, x), mux},
+		{"or", b.or(x.Neg(), y.Neg()), and.Neg()},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: got literal %d, want shared %d", tc.name, tc.got, tc.want)
+		}
+	}
+	if b.NumVarsSAT() != vars || b.NumClauses() != clauses {
+		t.Errorf("shared gates grew the CNF: vars %d → %d, clauses %d → %d",
+			vars, b.NumVarsSAT(), clauses, b.NumClauses())
+	}
+	// Differently shaped terms over the same circuit collapse: a + b and
+	// b + a share every adder gate, so their disequality is constant false.
+	a16, b16 := expr.Var(16, "a"), expr.Var(16, "b")
+	if l := b.LitFor(expr.Ne(expr.Add(a16, b16), expr.Add(b16, a16))); l != b.fls {
+		t.Errorf("a+b ≠ b+a encoded as literal %d, want constant false", l)
+	}
+
+	off := NewBV()
+	x, y = off.fresh(), off.fresh()
+	if off.and(x, y) == off.and(y, x) || off.gates != nil {
+		t.Error("Strash off shared a gate")
+	}
+}
+
+// TestStrashGateMapBounded floods a strashed BV with more distinct gates
+// than encodeCacheCap: the gate map must never exceed the cap, and gates
+// built after the wholesale reset are still shared.
+func TestStrashGateMapBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("floods the gate map")
+	}
+	b := NewBV()
+	b.Strash = true
+	in := make([]Lit, 400) // 400·399/2 pairs > encodeCacheCap
+	for i := range in {
+		in[i] = b.fresh()
+	}
+	gates := 0
+	for i := range in {
+		for j := i + 1; j < len(in); j++ {
+			b.and(in[i], in[j])
+			if gates++; len(b.gates) > encodeCacheCap {
+				t.Fatalf("gate map holds %d entries after %d gates, cap %d",
+					len(b.gates), gates, encodeCacheCap)
+			}
+		}
+	}
+	if gates <= encodeCacheCap {
+		t.Fatalf("flood built only %d gates, cap %d", gates, encodeCacheCap)
+	}
+	last := b.and(in[len(in)-2], in[len(in)-1])
+	vars := b.NumVarsSAT()
+	if b.and(in[len(in)-1], in[len(in)-2]) != last || b.NumVarsSAT() != vars {
+		t.Error("gate built after the reset was not shared")
+	}
 }

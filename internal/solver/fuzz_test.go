@@ -130,7 +130,8 @@ func buildFuzzTerm(data []byte) (*expr.Expr, map[string]uint8) {
 // assigns to the term equals expr.Eval under the same assignment, and (2)
 // pinning every variable to that assignment and asserting the term differs
 // from the evaluator's answer is Unsat. The two implementations of the
-// bit-vector semantics must be extensionally equal.
+// bit-vector semantics must be extensionally equal, with gate hashing
+// (BV.Strash) off and on.
 func FuzzSemanticsOracle(f *testing.F) {
 	f.Add([]byte{0, 9, 1})                              // a << b at width 1
 	f.Add([]byte{2, 1, 9, 2, 10, 11})                   // shifts at width 8
@@ -147,33 +148,36 @@ func FuzzSemanticsOracle(f *testing.F) {
 		if e == nil {
 			return
 		}
-		b := NewBV()
-		bits := b.Bits(e)
-		if len(bits) != int(e.Width) {
-			t.Fatalf("encoded %d bits for a width-%d term", len(bits), e.Width)
-		}
-		if st := b.CheckLits(nil); st != Sat {
-			t.Fatalf("unconstrained check = %v, want Sat", st)
-		}
-		model := b.Model()
-		got := b.ValueOf(e)
-		want := expr.Eval(e, model)
-		if got != want {
-			t.Fatalf("model disagreement on %v:\n  model %v\n  solver %#x\n  eval   %#x",
-				e, model, got, want)
-		}
-		// Pin the variables and assert the term differs from the evaluator's
-		// answer: if the bit-blaster implements the same function, this is
-		// unsatisfiable.
-		var lits []Lit
-		for name, vw := range vars {
-			lits = append(lits, b.LitFor(
-				expr.Eq(expr.Var(vw, name), expr.Const(vw, model[name]))))
-		}
-		lits = append(lits, b.LitFor(expr.Ne(e, expr.Const(e.Width, want))))
-		if st := b.CheckLits(lits); st != Unsat {
-			t.Fatalf("bit-blaster diverges from expr.Eval on %v under %v (status %v)",
-				e, model, st)
+		for _, strash := range []bool{false, true} {
+			b := NewBV()
+			b.Strash = strash
+			bits := b.Bits(e)
+			if len(bits) != int(e.Width) {
+				t.Fatalf("strash=%v: encoded %d bits for a width-%d term", strash, len(bits), e.Width)
+			}
+			if st := b.CheckLits(nil); st != Sat {
+				t.Fatalf("strash=%v: unconstrained check = %v, want Sat", strash, st)
+			}
+			model := b.Model()
+			got := b.ValueOf(e)
+			want := expr.Eval(e, model)
+			if got != want {
+				t.Fatalf("strash=%v: model disagreement on %v:\n  model %v\n  solver %#x\n  eval   %#x",
+					strash, e, model, got, want)
+			}
+			// Pin the variables and assert the term differs from the
+			// evaluator's answer: if the bit-blaster implements the same
+			// function, this is unsatisfiable.
+			var lits []Lit
+			for name, vw := range vars {
+				lits = append(lits, b.LitFor(
+					expr.Eq(expr.Var(vw, name), expr.Const(vw, model[name]))))
+			}
+			lits = append(lits, b.LitFor(expr.Ne(e, expr.Const(e.Width, want))))
+			if st := b.CheckLits(lits); st != Unsat {
+				t.Fatalf("strash=%v: bit-blaster diverges from expr.Eval on %v under %v (status %v)",
+					strash, e, model, st)
+			}
 		}
 	})
 }
