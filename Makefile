@@ -39,14 +39,15 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# The ten native fuzz targets: the instruction decoder's structural
+# The eleven native fuzz targets: the instruction decoder's structural
 # invariants, the expression simplifier's soundness, the bit-blaster vs
 # evaluator semantics oracle, the SAT core's arena-compaction integrity and
 # restart determinism, the fault-injection spec parser, the triage
 # minimizer's shrink/signature-preservation invariants, the equivcheck
 # verdict vs concrete-differential oracle, the hybrid mutator's
-# atom-discipline/aliasing/determinism invariants, and the lento
-# interpreter vs evaluator/bit-blaster ALU oracle.
+# atom-discipline/aliasing/determinism invariants, the lento interpreter vs
+# evaluator/bit-blaster ALU oracle, and the snapshot decoder's hostile-input
+# and re-encode round-trip invariants.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/x86
 	$(GO) test -fuzz=FuzzExprSimplify -fuzztime=$(FUZZTIME) ./internal/expr
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzVsOracle -fuzztime=$(FUZZTIME) ./internal/equivcheck
 	$(GO) test -fuzz=FuzzMutator -fuzztime=$(FUZZTIME) ./internal/hybrid
 	$(GO) test -fuzz=FuzzLentoVsEval -fuzztime=$(FUZZTIME) ./internal/lento
+	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) ./internal/machine
 
 # Chaos gate: the fault-injection matrix under the race detector, sweeping
 # a fixed seed range (CHAOS_SEEDS plans per fault mix). Every armed fault

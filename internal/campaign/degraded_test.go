@@ -6,14 +6,17 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pokeemu/internal/corpus"
 	"pokeemu/internal/faults"
+	"pokeemu/internal/machine"
 )
 
 // TestCorpusWriteFailuresArePinned pins the exact ledger count for a cold
@@ -154,6 +157,95 @@ func TestUndecodableExecEntriesArePinned(t *testing.T) {
 		t.Errorf("reason %q counted %d times, want %d", ReasonCorpusRead, got, cold.TotalTests)
 	}
 	// The re-execution repaired the corpus: a third run replays cleanly.
+	again, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Cache.ExecHits != cold.TotalTests || again.Cache.ExecDecodeFailed != 0 {
+		t.Errorf("after repair: hits %d, decode failures %d, want %d/0",
+			again.Cache.ExecHits, again.Cache.ExecDecodeFailed, cold.TotalTests)
+	}
+	if cs, ws := cold.Summary(), again.Summary(); cs != ws {
+		t.Errorf("repaired summary drifted:\ncold:\n%s\nrepaired:\n%s", cs, ws)
+	}
+}
+
+// TestWrongBaseSnapshotsAreReexecuted rewrites every cached execution
+// outcome as if it had been written against another base image (the empty
+// one) and requires the resumed run to reject each entry and re-execute it,
+// finding exactly the cold run's differences: a snapshot decoded over the
+// wrong image is never served as a result.
+func TestWrongBaseSnapshotsAreReexecuted(t *testing.T) {
+	t.Cleanup(faults.Disarm)
+	faults.Disarm()
+	dir := t.TempDir()
+	cfg := Config{
+		MaxPathsPerInstr: 8,
+		Handlers:         []string{"push_r"},
+		Seed:             1,
+		Workers:          2,
+		CorpusDir:        dir,
+		Resume:           true,
+	}
+	cold, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	image := machine.BaselineImage()
+	rewritten := 0
+	err = filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if !bytes.Contains(b, []byte(`"impl":"fidelis"`)) {
+			return nil // not an exec entry
+		}
+		var ent corpus.ExecEntry
+		if err := json.Unmarshal(b, &ent); err != nil {
+			return err
+		}
+		for i := range ent.Impls {
+			snap, err := machine.ReadSnapshot(bytes.NewReader(ent.Impls[i].Snap), image)
+			if err != nil {
+				return err
+			}
+			var buf bytes.Buffer
+			if err := snap.WriteTo(&buf, nil); err != nil {
+				return err
+			}
+			ent.Impls[i].Snap = buf.Bytes()
+		}
+		rewritten++
+		out, err := json.Marshal(&ent)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(path, out, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rewritten != cold.TotalTests || rewritten == 0 {
+		t.Fatalf("rewrote %d exec entries, want %d", rewritten, cold.TotalTests)
+	}
+
+	warm, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Cache.ExecDecodeFailed != cold.TotalTests || warm.Cache.ExecHits != 0 {
+		t.Errorf("decode failures %d, exec hits %d, want %d/0 (every entry re-executed)",
+			warm.Cache.ExecDecodeFailed, warm.Cache.ExecHits, cold.TotalTests)
+	}
+	if !reflect.DeepEqual(warm.Differences, cold.Differences) {
+		t.Errorf("re-executed run found %d differences, cold run %d",
+			len(warm.Differences), len(cold.Differences))
+	}
 	again, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@
 package diff
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -66,7 +67,8 @@ func UndefFilterFor(handler string) Filter {
 
 // Compare reports the state components that differ between two snapshots,
 // after applying the filter. Memory is compared over the union of pages
-// either run touched (both runs start from the same shared image).
+// either run touched (both runs start from the same shared image), a page
+// at a time; only a page whose contents differ is scanned byte by byte.
 func Compare(a, b *machine.Snapshot, f Filter) []FieldDiff {
 	var out []FieldDiff
 	add := func(field string, av, bv uint64) {
@@ -118,9 +120,13 @@ func Compare(a, b *machine.Snapshot, f Filter) []FieldDiff {
 	}
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 	for _, pn := range pns {
+		pa, pb := pageView(a.Mem, pn), pageView(b.Mem, pn)
+		if bytes.Equal(pa, pb) {
+			continue
+		}
 		base := pn * machine.PageSize
 		for off := uint32(0); off < machine.PageSize; off++ {
-			av, bv := a.Mem.Read8(base+off), b.Mem.Read8(base+off)
+			av, bv := pa[off], pb[off]
 			if av != bv {
 				out = append(out, FieldDiff{
 					Field: fmt.Sprintf("mem[%#x]", base+off),
@@ -130,6 +136,17 @@ func Compare(a, b *machine.Snapshot, f Filter) []FieldDiff {
 		}
 	}
 	return out
+}
+
+var zeroPage [machine.PageSize]byte
+
+// pageView returns page pn of m, with a page no layer holds reading as
+// zeros.
+func pageView(m *machine.Memory, pn uint32) []byte {
+	if p := m.ReadPage(pn); p != nil {
+		return p
+	}
+	return zeroPage[:]
 }
 
 func boolU(b bool) uint64 {

@@ -137,13 +137,14 @@ func (m *Memory) WriteBytes(addr uint32, buf []byte) {
 	}
 }
 
-// ReadBytes copies n bytes starting at addr.
-func (m *Memory) ReadBytes(addr uint32, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.Read8(addr + uint32(i))
+// ReadPage returns a read-only view of page pn as the overlay chain sees
+// it, or nil if no layer holds the page (it reads as zeros). The caller
+// must not write through the view.
+func (m *Memory) ReadPage(pn uint32) []byte {
+	if p := m.find(pn); p != nil {
+		return p[:]
 	}
-	return out
+	return nil
 }
 
 // Touched returns the set of page numbers written anywhere in this overlay
