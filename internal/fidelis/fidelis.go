@@ -41,11 +41,27 @@ const stepBudget = 1 << 22
 type Cache struct {
 	mu    sync.Mutex
 	progs map[string]*ir.Program
+	max   int // 0: unbounded
 	hits  atomic.Int64
 }
 
 // NewCache returns an empty program cache.
 func NewCache() *Cache { return &Cache{progs: make(map[string]*ir.Program)} }
+
+// NewBoundedCache returns an empty program cache that holds at most max
+// bodies. An insert into a full cache drops every body first, so a
+// process-wide cache fed ever-new instruction bytes resets instead of
+// growing without limit.
+func NewBoundedCache(max int) *Cache {
+	return &Cache{progs: make(map[string]*ir.Program), max: max}
+}
+
+// Len returns the number of cached bodies.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.progs)
+}
 
 func (c *Cache) lookup(key string) (*ir.Program, bool) {
 	c.mu.Lock()
@@ -60,6 +76,9 @@ func (c *Cache) lookup(key string) (*ir.Program, bool) {
 func (c *Cache) insert(key string, p *ir.Program) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.max > 0 && len(c.progs) >= c.max {
+		c.progs = make(map[string]*ir.Program)
+	}
 	c.progs[key] = p
 }
 

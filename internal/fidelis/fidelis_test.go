@@ -7,6 +7,7 @@ import (
 	"pokeemu/internal/emu"
 	"pokeemu/internal/machine"
 	"pokeemu/internal/x86"
+	"pokeemu/internal/x86/sem"
 )
 
 // run loads code at the entry point and steps until halt/shutdown.
@@ -664,6 +665,38 @@ func TestTranslationCache(t *testing.T) {
 	}
 	if m.GPR[x86.ECX] != 0 {
 		t.Errorf("ecx = %d", m.GPR[x86.ECX])
+	}
+}
+
+// TestBoundedCache checks the bound-and-reset policy: a bounded cache never
+// holds more than its cap, an insert into a full cache starts it over, and
+// it keeps serving hits after a reset.
+func TestBoundedCache(t *testing.T) {
+	const max = 4
+	cache := NewBoundedCache(max)
+	e := NewShared(machine.NewBaseline(nil), sem.HardwareConfig, cache)
+	inst := func(imm uint32) *x86.Inst {
+		in, err := x86.Decode(x86.AsmMovRegImm32(x86.EAX, imm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	for imm := uint32(0); imm < 3*max+1; imm++ {
+		p := e.Program(inst(imm))
+		if n := cache.Len(); n > max || n != int(imm)%max+1 {
+			t.Fatalf("after %d inserts: len %d (cap %d)", imm+1, n, max)
+		}
+		hits := e.CacheHits()
+		if e.Program(inst(imm)) != p || e.CacheHits() != hits+1 {
+			t.Fatalf("insert %d: repeat lookup missed", imm+1)
+		}
+	}
+	// The last reset dropped the earliest bodies: a lookup recompiles them.
+	hits := e.CacheHits()
+	e.Program(inst(0))
+	if e.CacheHits() != hits {
+		t.Error("a body dropped by the reset was served")
 	}
 }
 

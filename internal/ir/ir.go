@@ -10,6 +10,7 @@ package ir
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"pokeemu/internal/expr"
 	"pokeemu/internal/x86"
@@ -138,14 +139,35 @@ type Label int
 
 // Builder incrementally constructs a Program. Value-producing methods return
 // Operands so semantics code composes like expressions.
+//
+// Until Build, p.Stmts, p.TempWidths and labels are pooled scratch whose
+// append growth is paid once per process rather than once per program;
+// Build copies the body out at its exact size and recycles the scratch, so
+// a compiled program never holds growth slack or shares memory with a
+// later build.
 type Builder struct {
 	p      *Program
 	labels []int // label → stmt index, -1 while unbound
+	s      *scratch
 }
+
+// scratch is a Builder's recyclable construction space.
+type scratch struct {
+	stmts  []Stmt
+	widths []uint8
+	labels []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // NewBuilder starts a program with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{p: &Program{Name: name}}
+	s := scratchPool.Get().(*scratch)
+	return &Builder{
+		p:      &Program{Name: name, Stmts: s.stmts[:0], TempWidths: s.widths[:0]},
+		labels: s.labels[:0],
+		s:      s,
+	}
 }
 
 // NewTemp allocates a fresh temporary of width w bits.
@@ -402,17 +424,37 @@ func Concat(name string, progs ...*Program) *Program {
 	return out
 }
 
-// Build resolves labels and returns the finished program.
+// Build resolves labels and returns the finished program, whose Stmts and
+// TempWidths are exact-size slices of their own. It is called once; the
+// builder is spent afterwards.
 func (b *Builder) Build() *Program {
-	for i := range b.p.Stmts {
-		s := &b.p.Stmts[i]
+	p := b.p
+	stmts, widths := exact(p.Stmts), exact(p.TempWidths)
+	for i := range stmts {
+		s := &stmts[i]
 		if s.Kind == KCJump || s.Kind == KJump {
 			tgt := b.labels[s.Target]
 			if tgt == -1 {
-				panic(fmt.Sprintf("ir: unbound label %d in %s", s.Target, b.p.Name))
+				panic(fmt.Sprintf("ir: unbound label %d in %s", s.Target, p.Name))
 			}
 			s.Target = int32(tgt)
 		}
 	}
-	return b.p
+	// Everything is copied out; only now may another builder take the
+	// scratch.
+	b.s.stmts, b.s.widths, b.s.labels = p.Stmts[:0], p.TempWidths[:0], b.labels[:0]
+	scratchPool.Put(b.s)
+	p.Stmts, p.TempWidths = stmts, widths
+	b.s, b.labels = nil, nil
+	return p
+}
+
+// exact copies s into a slice with len == cap (nil when s is empty).
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }

@@ -1,7 +1,9 @@
 package ir
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -316,5 +318,104 @@ func TestProgramString(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Errorf("rendering missing %q:\n%s", frag, s)
 		}
+	}
+}
+
+// buildLoop builds the TestBuilderBranchAndLoop summation program with n
+// extra padding statements, so successive builds reuse (and overwrite) the
+// builder's recycled scratch with different contents.
+func buildLoop(name string, pad int) *Program {
+	b := NewBuilder(name)
+	n := b.Get(x86.GPR(x86.ECX))
+	for k := 0; k < pad; k++ {
+		b.Set(x86.GPR(x86.EDX), b.Xor(b.Get(x86.GPR(x86.EDX)), b.Const(32, uint64(k))))
+	}
+	sum := b.NewTemp(32)
+	i := b.NewTemp(32)
+	b.Move(sum, b.Const(32, 0))
+	b.Move(i, b.Const(32, 0))
+	top := b.NewLabel()
+	done := b.NewLabel()
+	b.Bind(top)
+	b.CJump(b.Eq(i, n), done)
+	b.Move(i, b.Add(i, b.Const(32, 1)))
+	b.Move(sum, b.Add(sum, i))
+	b.Jump(top)
+	b.Bind(done)
+	b.Set(x86.GPR(x86.EAX), sum)
+	b.End()
+	return b.Build()
+}
+
+// TestBuildIsolatedFromLaterBuilds checks that a built program owns its
+// memory: later builds, which recycle the builder scratch, leave its
+// statements, temp widths and resolved jump targets untouched.
+func TestBuildIsolatedFromLaterBuilds(t *testing.T) {
+	first := buildLoop("first", 3)
+	want := first.String()
+	stmts := append([]Stmt(nil), first.Stmts...)
+	widths := append([]uint8(nil), first.TempWidths...)
+	for k := 0; k < 8; k++ {
+		other := buildLoop("other", 7*k)
+		if &other.Stmts[0] == &first.Stmts[0] || &other.TempWidths[0] == &first.TempWidths[0] {
+			t.Fatalf("build %d shares memory with the first program", k)
+		}
+	}
+	if got := first.String(); got != want {
+		t.Errorf("first program changed:\n--- want:\n%s--- got:\n%s", want, got)
+	}
+	if !slices.Equal(first.Stmts, stmts) || !slices.Equal(first.TempWidths, widths) {
+		t.Error("first program's slices changed")
+	}
+	st := newMapState()
+	st.Set(x86.GPR(x86.ECX), 10)
+	if _, err := Run(first, st, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Get(x86.GPR(x86.EAX)); got != 55 {
+		t.Errorf("sum = %d, want 55", got)
+	}
+}
+
+// TestBuildConcurrent builds programs of different sizes from several
+// goroutines at once; each must render exactly as its serial build does,
+// so no builder ever sees scratch another builder still reads.
+func TestBuildConcurrent(t *testing.T) {
+	const workers = 8
+	want := make([]string, workers)
+	for w := range want {
+		want[w] = buildLoop("c", 5*w).String()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				if got := buildLoop("c", 5*w).String(); got != want[w] {
+					t.Errorf("worker %d build %d differs:\n%s", w, k, got)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestBuildExactSize checks that Build returns slices with no growth slack:
+// compiled bodies are cached for the life of the process.
+func TestBuildExactSize(t *testing.T) {
+	for _, pad := range []int{0, 1, 5, 100} {
+		p := buildLoop("exact", pad)
+		if len(p.Stmts) != cap(p.Stmts) || len(p.TempWidths) != cap(p.TempWidths) {
+			t.Errorf("pad %d: stmts len %d cap %d, widths len %d cap %d", pad,
+				len(p.Stmts), cap(p.Stmts), len(p.TempWidths), cap(p.TempWidths))
+		}
+	}
+	b := NewBuilder("empty")
+	b.RaiseNoErr(x86.ExcUD)
+	if p := b.Build(); p.TempWidths != nil || len(p.Stmts) != cap(p.Stmts) {
+		t.Errorf("temp-free program: widths %v, stmts len %d cap %d",
+			p.TempWidths, len(p.Stmts), cap(p.Stmts))
 	}
 }

@@ -3,7 +3,7 @@ package solver
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"pokeemu/internal/expr"
@@ -804,9 +804,8 @@ func (b *BV) validateHit(lits []Lit, m []bool, path string) {
 // with the same literals in any order share one entry; a literal and its
 // negation differ in the packed value, so the key is sign-aware.
 func memoKey(lits []Lit) string {
-	s := make([]Lit, len(lits))
-	copy(s, lits)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(lits)
+	slices.Sort(s)
 	buf := make([]byte, 4*len(s))
 	for i, l := range s {
 		binary.LittleEndian.PutUint32(buf[i*4:], uint32(l))

@@ -1,6 +1,10 @@
 package solver
 
 import (
+	"encoding/binary"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"pokeemu/internal/expr"
@@ -113,5 +117,54 @@ func TestSolverCachesBounded(t *testing.T) {
 	if len(b.ptr) > encodeCacheCap || len(b.hmemo) > encodeCacheCap {
 		t.Fatalf("translation caches exceeded their cap: ptr=%d hmemo=%d > %d",
 			len(b.ptr), len(b.hmemo), encodeCacheCap)
+	}
+}
+
+// memoKeySortSlice is the memo key as first written, with the reflective
+// sort.Slice: the reference memoKey's bytes must equal.
+func memoKeySortSlice(lits []Lit) string {
+	s := make([]Lit, len(lits))
+	copy(s, lits)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	buf := make([]byte, 4*len(s))
+	for i, l := range s {
+		binary.LittleEndian.PutUint32(buf[i*4:], uint32(l))
+	}
+	return string(buf)
+}
+
+// TestMemoKeyMatchesReference checks memoKey on seeded random assumption
+// sets: the key equals the sort.Slice reference byte for byte, is the same
+// for every order of the literals, differs when one literal is negated, and
+// never reorders the caller's slice.
+func TestMemoKeyMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 2000; iter++ {
+		lits := make([]Lit, r.Intn(40))
+		for i := range lits {
+			lits[i] = MkLit(r.Intn(1<<20), r.Intn(2) == 1)
+		}
+		orig := slices.Clone(lits)
+		key := memoKey(lits)
+		if !slices.Equal(lits, orig) {
+			t.Fatalf("iter %d: memoKey reordered its argument", iter)
+		}
+		if want := memoKeySortSlice(lits); key != want {
+			t.Fatalf("iter %d: key %x, reference %x", iter, key, want)
+		}
+		perm := slices.Clone(lits)
+		r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		if memoKey(perm) != key {
+			t.Fatalf("iter %d: key depends on literal order", iter)
+		}
+		if len(lits) == 0 {
+			continue
+		}
+		flipped := slices.Clone(lits)
+		k := r.Intn(len(flipped))
+		flipped[k] = flipped[k].Neg()
+		if memoKey(flipped) == key {
+			t.Fatalf("iter %d: negating %d kept the key", iter, lits[k])
+		}
 	}
 }

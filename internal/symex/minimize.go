@@ -1,7 +1,7 @@
 package symex
 
 import (
-	"sort"
+	"slices"
 
 	"pokeemu/internal/expr"
 )
@@ -61,19 +61,20 @@ func (en *Engine) minimize(model map[string]uint64) {
 	// make another's load-bearing), so visit variables in sorted name order:
 	// the minimized witness must be a pure function of the path, never of
 	// map iteration order, or campaign reports would differ run to run.
-	names := make([]string, 0, len(en.st.Vars))
-	for name := range en.st.Vars {
-		names = append(names, name)
+	// Only a state variable whose model value differs from its baseline is
+	// ever touched, and each pass edits only its own variable, so sorting
+	// just those names visits them in the same order as sorting them all.
+	var names []string
+	for name, cur := range model {
+		if _, ok := en.st.Vars[name]; ok && cur != en.st.Baseline[name] {
+			names = append(names, name)
+		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
 		w := en.st.Vars[name]
 		base := en.st.Baseline[name]
-		cur, ok := model[name]
-		if !ok || cur == base {
-			continue
-		}
-		diffBits := (cur ^ base) & expr.Mask(w)
+		diffBits := (model[name] ^ base) & expr.Mask(w)
 		for bit := uint8(0); bit < w; bit++ {
 			m := uint64(1) << bit
 			if diffBits&m == 0 {

@@ -332,15 +332,33 @@ func topoSort(gs []Gadget) ([]Gadget, error) {
 	return gs, nil
 }
 
+// verifyCacheCap bounds verifyCache. The initializers of a whole campaign
+// compile to a few hundred distinct instruction encodings (597 for the
+// 14-handler mix), so the cap is never reached there; a process that keeps
+// minting new encodings resets the cache rather than growing it.
+const verifyCacheCap = 4096
+
+// verifyCache holds the hardware-configuration IR bodies every Verify call
+// shares. Verify is a check, not a modeled emulator, so the per-guest
+// translation cost the Hi-Fi emulator's private cache models does not
+// apply; a body is a pure function of its instruction bytes and the fixed
+// configuration, and programs are immutable once built.
+var verifyCache = fidelis.NewBoundedCache(verifyCacheCap)
+
 // Verify simulates the generated program on the hardware model and reports
-// whether execution reaches the test instruction (the generated-initializer
-// sanity check; minimization is what keeps this from ever failing, and the
-// ablation benchmark measures exactly that).
+// whether execution reaches the test instruction: the generated-initializer
+// sanity check. It rejects a program that halts, faults or shuts down
+// before the test instruction, or does not reach it within 4,096 steps.
+// Minimization makes such programs rare, not impossible: an earlier gadget
+// can install test-state paging or segment values that a later initializer
+// instruction then faults on, with a delivery that itself fails. The
+// campaign counts each rejected test as an init fault (InstrReport.InitFault)
+// and does not execute it.
 func Verify(p *Program, image *machine.Memory) bool {
 	m := machine.NewBoot(image)
 	m.Mem.WriteBytes(machine.BootBase, BaselineInit())
 	m.Mem.WriteBytes(machine.CodeBase, p.Code)
-	hw := fidelis.NewWithConfig(m, sem.HardwareConfig)
+	hw := fidelis.NewShared(m, sem.HardwareConfig, verifyCache)
 	testEIP := uint32(machine.CodeBase + p.TestOffset)
 	for i := 0; i < 4096; i++ {
 		if m.EIP == testEIP {

@@ -1,7 +1,6 @@
 package sem
 
 import (
-	"slices"
 	"sync"
 
 	"pokeemu/internal/ir"
@@ -66,8 +65,6 @@ func CompileDelivery(vector uint8, errCode uint32, hasErr bool, cfg Config) *ir.
 	if deliveryMemo.progs == nil || len(deliveryMemo.progs) >= deliveryMemoCap {
 		deliveryMemo.progs = make(map[deliveryKey]*ir.Program)
 	}
-	// The body outlives this call, so drop the builder's append slack.
-	p.Stmts = slices.Clone(p.Stmts)
 	deliveryMemo.progs[k] = p
 	return p
 }
