@@ -39,8 +39,9 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# The eleven native fuzz targets: the instruction decoder's structural
-# invariants, the expression simplifier's soundness, the bit-blaster vs
+# The twelve native fuzz targets: the instruction decoder's structural
+# invariants, the expression simplifier's soundness, the minimizer's
+# incremental cone evaluation vs evaluation from scratch, the bit-blaster vs
 # evaluator semantics oracle, the SAT core's arena-compaction integrity and
 # restart determinism, the fault-injection spec parser, the triage
 # minimizer's shrink/signature-preservation invariants, the equivcheck
@@ -51,6 +52,7 @@ race:
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/x86
 	$(GO) test -fuzz=FuzzExprSimplify -fuzztime=$(FUZZTIME) ./internal/expr
+	$(GO) test -fuzz=FuzzConeEval -fuzztime=$(FUZZTIME) ./internal/symex
 	$(GO) test -fuzz=FuzzSemanticsOracle -fuzztime=$(FUZZTIME) ./internal/solver
 	$(GO) test -fuzz=FuzzArenaCompact -fuzztime=$(FUZZTIME) ./internal/solver
 	$(GO) test -fuzz=FuzzLubyRestart -fuzztime=$(FUZZTIME) ./internal/solver

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
+	"pokeemu/internal/expr"
 	"pokeemu/internal/ir"
 	"pokeemu/internal/symex"
 	"pokeemu/internal/x86"
@@ -179,6 +181,45 @@ func TestModelsAreMinimized(t *testing.T) {
 		if n := len(tc.Diffs()); n > 40 {
 			t.Errorf("%s: %d vars differ from baseline; minimization ineffective", tc.ID, n)
 		}
+	}
+}
+
+// TestAssignmentIsSparse pins the witness contract: a test's Assignment
+// holds exactly the variables that differ from baseline, Value falls back
+// to the baseline for the rest, and the total assignment Value describes
+// cuts back to the same map under DiffsOf.
+func TestAssignmentIsSparse(t *testing.T) {
+	opts := symex.DefaultOptions()
+	opts.MaxPaths = 16
+	ex, err := NewExplorer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ex.ExploreState(findUnique(t, "push_r"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	differing := 0
+	for _, tc := range res.Tests {
+		for name, v := range tc.Assignment {
+			if v == tc.Baseline[name]&expr.Mask(tc.Widths[name]) {
+				t.Errorf("%s: %s is at baseline %#x but in the assignment", tc.ID, name, v)
+			}
+		}
+		total := make(map[string]uint64, len(tc.Widths))
+		for name := range tc.Widths {
+			total[name] = tc.Value(name)
+			if _, ok := tc.Assignment[name]; !ok && total[name] != tc.Baseline[name] {
+				t.Errorf("%s: Value(%s) = %#x, baseline %#x", tc.ID, name, total[name], tc.Baseline[name])
+			}
+		}
+		if got := DiffsOf(total, tc.Baseline, tc.Widths); !maps.Equal(got, tc.Diffs()) {
+			t.Errorf("%s: DiffsOf(total) = %v, Diffs() = %v", tc.ID, got, tc.Diffs())
+		}
+		differing += len(tc.Assignment)
+	}
+	if differing == 0 {
+		t.Error("no test state differs from baseline; the check is vacuous")
 	}
 }
 

@@ -23,8 +23,10 @@ type TestCase struct {
 	Outcome    ir.Outcome
 	Aborted    bool
 
-	// Assignment maps symbolic variables to their (minimized) values;
-	// Baseline/Widths/VarLoc/VarMem describe the variables.
+	// Assignment holds the test state as a difference from the baseline:
+	// exactly the symbolic variables whose (minimized) value differs from
+	// Baseline. Every other variable is at its baseline value (see Value).
+	// Baseline/Widths/VarLoc/VarMem describe all the variables.
 	Assignment map[string]uint64
 	Baseline   map[string]uint64
 	Widths     map[string]uint8
@@ -32,12 +34,26 @@ type TestCase struct {
 	VarMem     map[string]uint32
 }
 
-// Diffs returns only the variables whose value differs from the baseline —
-// the pieces of state the initializer must establish.
-func (tc *TestCase) Diffs() map[string]uint64 {
+// Diffs returns the variables whose value differs from the baseline — the
+// pieces of state the initializer must establish. That is Assignment
+// itself; callers must not modify it.
+func (tc *TestCase) Diffs() map[string]uint64 { return tc.Assignment }
+
+// Value returns one variable's value in the test state: its Assignment
+// entry, else its baseline value.
+func (tc *TestCase) Value(name string) uint64 {
+	if v, ok := tc.Assignment[name]; ok {
+		return v
+	}
+	return tc.Baseline[name]
+}
+
+// DiffsOf returns the entries of a total assignment that differ from the
+// baseline, the form TestCase.Assignment takes.
+func DiffsOf(asn, baseline map[string]uint64, widths map[string]uint8) map[string]uint64 {
 	out := make(map[string]uint64)
-	for name, v := range tc.Assignment {
-		if v != tc.Baseline[name]&expr.Mask(tc.Widths[name]) {
+	for name, v := range asn {
+		if v != baseline[name]&expr.Mask(widths[name]) {
 			out[name] = v
 		}
 	}

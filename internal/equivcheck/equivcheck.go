@@ -570,7 +570,7 @@ func buildCE(u *core.UniqueInstr, enc []byte, inst *x86.Inst, fi, ci int,
 		Mnemonic:   u.Spec.Mn,
 		PathIndex:  fi,
 		Outcome:    fp.outcome,
-		Assignment: asn,
+		Assignment: core.DiffsOf(asn, symSt.Baseline, symSt.Vars),
 		Baseline:   symSt.Baseline,
 		Widths:     symSt.Vars,
 		VarLoc:     symSt.VarLoc,

@@ -426,7 +426,7 @@ func concreteOutcome(t *testing.T, u *core.UniqueInstr, enc []byte, instLen int,
 		InstrBytes: append([]byte(nil), enc[:instLen]...),
 		Handler:    u.Spec.Name,
 		Mnemonic:   u.Spec.Mn,
-		Assignment: asn,
+		Assignment: core.DiffsOf(asn, symSt.Baseline, symSt.Vars),
 		Baseline:   symSt.Baseline,
 		Widths:     symSt.Vars,
 		VarLoc:     symSt.VarLoc,
@@ -583,7 +583,7 @@ func runCeler(t *testing.T, u *core.UniqueInstr, enc []byte, instLen int,
 		InstrBytes: append([]byte(nil), enc[:instLen]...),
 		Handler:    u.Spec.Name,
 		Mnemonic:   u.Spec.Mn,
-		Assignment: asn,
+		Assignment: core.DiffsOf(asn, symSt.Baseline, symSt.Vars),
 		Baseline:   symSt.Baseline,
 		Widths:     symSt.Vars,
 		VarLoc:     symSt.VarLoc,

@@ -624,8 +624,23 @@ func Eval(e *Expr, env map[string]uint64) uint64 {
 	return evalNode(e, func(i int) uint64 { return Eval(e.Kids[i], env) })
 }
 
+// EvalOp applies e's operator to its children's values a, b and c (for
+// Kids[0], Kids[1] and Kids[2]; the ones e lacks are ignored), for callers
+// that keep node values themselves. e must not be a leaf.
+func EvalOp(e *Expr, a, b, c uint64) uint64 {
+	return evalNode(e, func(i int) uint64 {
+		switch i {
+		case 0:
+			return a
+		case 1:
+			return b
+		}
+		return c
+	})
+}
+
 // evalNode applies one operator given an evaluator for its children —
-// shared by the plain recursive Eval and the DAG-memoized EvalMemo.
+// shared by the plain recursive Eval and EvalOp.
 func evalNode(e *Expr, k func(int) uint64) uint64 {
 	m := Mask(e.Width)
 	switch e.Op {
@@ -707,27 +722,6 @@ func evalNode(e *Expr, k func(int) uint64) uint64 {
 	default:
 		panic("expr: eval of unknown op")
 	}
-}
-
-// EvalMemo is Eval with a caller-provided memo table keyed by node
-// identity, so shared subterms of a hash-consed DAG evaluate once instead
-// of once per reachable path. The memo is valid for exactly one env;
-// callers must clear it whenever the assignment changes.
-func EvalMemo(e *Expr, env map[string]uint64, memo map[*Expr]uint64) uint64 {
-	if e.Op == OpConst {
-		return e.Val
-	}
-	if v, ok := memo[e]; ok {
-		return v
-	}
-	var v uint64
-	if e.Op == OpVar {
-		v = env[e.Name] & Mask(e.Width)
-	} else {
-		v = evalNode(e, func(i int) uint64 { return EvalMemo(e.Kids[i], env, memo) })
-	}
-	memo[e] = v
-	return v
 }
 
 // CollectVars appends the names of all free variables in e to set.

@@ -817,10 +817,16 @@ func memoKey(lits []Lit) string {
 // Variables never mentioned in any query are absent.
 func (b *BV) Model() map[string]uint64 {
 	m := make(map[string]uint64, len(b.vars))
-	for name, lits := range b.vars {
-		m[name] = b.valueOf(lits)
-	}
+	b.ModelVars(func(name string, v uint64) { m[name] = v })
 	return m
+}
+
+// ModelVars calls f with the model value of every bit-blasted variable, in
+// no particular order — Model without building the map.
+func (b *BV) ModelVars(f func(name string, v uint64)) {
+	for name, lits := range b.vars {
+		f(name, b.valueOf(lits))
+	}
 }
 
 // ModelVal returns the model value of one variable (zero if never encoded).

@@ -120,8 +120,8 @@ func TestSymbolicBranchingMatchesConcrete(t *testing.T) {
 	en.Explore(prog, func(res *PathResult) {
 		paths++
 		m := machine.NewBaseline(image)
-		m.GPR[x86.EAX] = uint32(res.Model["st_eax"])
-		m.GPR[x86.ECX] = uint32(res.Model["st_ecx"])
+		m.GPR[x86.EAX] = uint32(res.Value("st_eax"))
+		m.GPR[x86.ECX] = uint32(res.Value("st_ecx"))
 		out, err := ir.Run(prog, m, 0)
 		if err != nil {
 			t.Fatal(err)

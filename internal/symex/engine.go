@@ -44,10 +44,23 @@ func DefaultOptions() Options {
 type PathResult struct {
 	Outcome ir.Outcome
 	Cond    []*expr.Expr
+	// Model is the path's witness as a difference from the baseline: it
+	// holds exactly the state variables whose value differs from
+	// Final.Baseline; every other variable is at its baseline value (see
+	// Value). Minimized unless Options.SkipMinimize is set.
 	Model   map[string]uint64
 	Final   *SymState
 	Steps   int
 	Aborted bool // hit the per-path step cap
+}
+
+// Value returns a state variable's value in the path's witness: the
+// model's entry, else the baseline value.
+func (r *PathResult) Value(name string) uint64 {
+	if v, ok := r.Model[name]; ok {
+		return v
+	}
+	return r.Final.Baseline[name]
 }
 
 // Stats aggregates exploration effort.
@@ -105,6 +118,11 @@ type Engine struct {
 	subs       []*Engine // task engines, canonical order, after Explore
 	explored   bool      // Explore ran; exhausted holds the global verdict
 	exhausted  bool
+
+	// witness scratch (see minimize.go and cone.go)
+	graph *condGraph
+	diffs []varVal
+	roots []int32
 
 	stmtHits []bool // statement coverage across all paths
 	stats    Stats
@@ -434,33 +452,14 @@ loop:
 	if en.bv.CheckLits(en.assumptions()) != solver.Sat {
 		return nil, fmt.Errorf("symex: completed path is unsat (engine bug)")
 	}
-	model := en.fullModel()
-	if !en.opts.SkipMinimize {
-		en.minimize(model)
-	}
 	return &PathResult{
 		Outcome: outcome,
 		Cond:    append([]*expr.Expr(nil), en.pathCond...),
-		Model:   model,
+		Model:   en.witness(),
 		Final:   en.st,
 		Steps:   en.steps,
 		Aborted: aborted,
 	}, nil
-}
-
-// fullModel combines the solver model with baseline values for variables
-// the CNF never saw (they are unconstrained).
-func (en *Engine) fullModel() map[string]uint64 {
-	m := en.bv.Model()
-	out := make(map[string]uint64, len(en.st.Vars))
-	for name := range en.st.Vars {
-		if v, ok := m[name]; ok {
-			out[name] = v
-		} else {
-			out[name] = en.st.Baseline[name]
-		}
-	}
-	return out
 }
 
 // loadBytes assembles a little-endian value from symbolic memory.

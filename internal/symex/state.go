@@ -65,13 +65,13 @@ func (s *SymState) Clone() *SymState {
 	for k, v := range s.locs {
 		c.locs[k] = v
 	}
-	c.mem = s.mem.clone(c)
+	c.mem = s.mem.clone(c, s.mem.vars)
 	return c
 }
 
 // fork returns a deep copy for a parallel exploration task. Unlike Clone,
-// the variable registries (Vars/Baseline/VarLoc/VarMem) are copied rather
-// than shared, so the lazy creation of memory variables in SymMemory.read
+// the variable registries (Vars/Baseline/VarLoc/VarMem and the memory's
+// variable bytes) are copied rather than shared, so the lazy creation of memory variables in SymMemory.read
 // cannot race between tasks running on different goroutines. The explore
 // orchestrator merges newly created names back into the root state after
 // every task has joined.
@@ -99,7 +99,11 @@ func (s *SymState) fork() *SymState {
 	for k, v := range s.VarMem {
 		c.VarMem[k] = v
 	}
-	c.mem = s.mem.clone(c)
+	vars := make(map[uint32]*expr.Expr, len(s.mem.vars))
+	for k, v := range s.mem.vars {
+		vars[k] = v
+	}
+	c.mem = s.mem.clone(c, vars)
 	return c
 }
 
@@ -136,7 +140,7 @@ func (s *SymState) MarkMemSymbolic(addr uint32) {
 	s.Vars[name] = 8
 	s.Baseline[name] = uint64(s.base.Mem.Read8(addr))
 	s.VarMem[name] = addr & machine.PhysMask
-	s.mem.write(addr, v)
+	s.mem.vars[addr&machine.PhysMask] = v
 }
 
 // Get reads a location: symbolic if marked or written, else the concrete
@@ -170,15 +174,17 @@ func (s *SymState) StoreByte(addr uint32, e *expr.Expr) {
 // TouchedLocs returns the locations written (or marked) on this path.
 func (s *SymState) TouchedLocs() map[x86.Loc]*expr.Expr { return s.locs }
 
-// TouchedMem returns the memory bytes written on this path.
-func (s *SymState) TouchedMem() map[uint32]*expr.Expr { return s.mem.overlay }
-
 // SymMemory is the two-level symbolic memory: an overlay of terms above the
 // concrete baseline image, with fresh variables created on demand for bytes
 // the image never populated (the paper's "all unused bytes of physical
 // memory are symbolic", created lazily).
+//
+// The bytes that hold a variable (marked symbolic, or created on first
+// touch) are a registry like SymState.Vars, shared between a state and its
+// clones, so a per-path clone copies only the bytes written on the path.
 type SymMemory struct {
-	overlay  map[uint32]*expr.Expr
+	overlay  map[uint32]*expr.Expr // bytes written
+	vars     map[uint32]*expr.Expr // bytes that hold a variable
 	base     *machine.Memory
 	popPages map[uint32]bool // pages the baseline image populated
 	owner    *SymState
@@ -187,15 +193,17 @@ type SymMemory struct {
 func newSymMemory(base *machine.Memory, owner *SymState) *SymMemory {
 	return &SymMemory{
 		overlay:  make(map[uint32]*expr.Expr),
+		vars:     make(map[uint32]*expr.Expr),
 		base:     base,
 		popPages: base.Touched(nil),
 		owner:    owner,
 	}
 }
 
-func (m *SymMemory) clone(owner *SymState) *SymMemory {
+func (m *SymMemory) clone(owner *SymState, vars map[uint32]*expr.Expr) *SymMemory {
 	c := &SymMemory{
 		overlay:  make(map[uint32]*expr.Expr, len(m.overlay)),
+		vars:     vars,
 		base:     m.base,
 		popPages: m.popPages,
 		owner:    owner,
@@ -211,6 +219,9 @@ func (m *SymMemory) read(addr uint32) *expr.Expr {
 	if e, ok := m.overlay[addr]; ok {
 		return e
 	}
+	if e, ok := m.vars[addr]; ok {
+		return e
+	}
 	if m.popPages[addr/machine.PageSize] {
 		return expr.Const(8, uint64(m.base.Read8(addr)))
 	}
@@ -220,7 +231,7 @@ func (m *SymMemory) read(addr uint32) *expr.Expr {
 	m.owner.Vars[name] = 8
 	m.owner.Baseline[name] = 0
 	m.owner.VarMem[name] = addr
-	m.overlay[addr] = v
+	m.vars[addr] = v
 	return v
 }
 

@@ -379,3 +379,49 @@ func TestSymbolicWritesVisibleInFinalState(t *testing.T) {
 		}
 	})
 }
+
+// TestCloneSharesMemoryVariables pins the symbolic memory's sharing rules:
+// a path's writes stay in its own clone, while the bytes that hold a
+// variable (marked, or created on first touch) are one registry shared by
+// a state and its clones, and copied for a fork.
+func TestCloneSharesMemoryVariables(t *testing.T) {
+	st := newState(t)
+	st.MarkMemSymbolic(0x1000)
+	marked := st.LoadByte(0x1000)
+	if marked.Op != expr.OpVar {
+		t.Fatalf("marked byte reads %v", marked)
+	}
+
+	a := st.Clone()
+	a.StoreByte(0x1000, expr.Const(8, 7))
+	if got := a.LoadByte(0x1000); !got.IsConst() || got.Val != 7 {
+		t.Errorf("clone reads its own write as %v", got)
+	}
+	lazy := a.LoadByte(0x3f0000)
+	if lazy.Op != expr.OpVar || st.Vars[lazy.Name] != 8 {
+		t.Fatalf("untouched byte reads %v, registered %v", lazy, st.Vars[lazy.Name])
+	}
+
+	b := st.Clone()
+	if got := b.LoadByte(0x1000); got != marked {
+		t.Errorf("a sibling clone sees %v, want the marked variable", got)
+	}
+	if got := st.LoadByte(0x1000); got != marked {
+		t.Errorf("the parent sees %v, want the marked variable", got)
+	}
+	if got := b.LoadByte(0x3f0000); got != lazy {
+		t.Errorf("a sibling clone reads the created byte as %v, want %v", got, lazy)
+	}
+
+	f := st.fork()
+	forked := f.LoadByte(0x3e0000)
+	if forked.Op != expr.OpVar {
+		t.Fatalf("untouched byte reads %v in the fork", forked)
+	}
+	if _, ok := st.mem.vars[0x3e0000]; ok {
+		t.Error("a fork's created byte leaked into the parent's registry")
+	}
+	if _, ok := st.Vars[forked.Name]; ok {
+		t.Error("a fork's created variable leaked into the parent's Vars")
+	}
+}
