@@ -39,7 +39,7 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# The twelve native fuzz targets: the instruction decoder's structural
+# The thirteen native fuzz targets: the instruction decoder's structural
 # invariants, the expression simplifier's soundness, the minimizer's
 # incremental cone evaluation vs evaluation from scratch, the bit-blaster vs
 # evaluator semantics oracle, the SAT core's arena-compaction integrity and
@@ -47,8 +47,9 @@ race:
 # minimizer's shrink/signature-preservation invariants, the equivcheck
 # verdict vs concrete-differential oracle, the hybrid mutator's
 # atom-discipline/aliasing/determinism invariants, the lento interpreter vs
-# evaluator/bit-blaster ALU oracle, and the snapshot decoder's hostile-input
-# and re-encode round-trip invariants.
+# evaluator/bit-blaster ALU oracle, the snapshot decoder's hostile-input
+# and re-encode round-trip invariants, and page-granular memory access and
+# code fetch vs a byte-at-a-time reference.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/x86
 	$(GO) test -fuzz=FuzzExprSimplify -fuzztime=$(FUZZTIME) ./internal/expr
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMutator -fuzztime=$(FUZZTIME) ./internal/hybrid
 	$(GO) test -fuzz=FuzzLentoVsEval -fuzztime=$(FUZZTIME) ./internal/lento
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) ./internal/machine
+	$(GO) test -fuzz=FuzzMemoryAccess -fuzztime=$(FUZZTIME) ./internal/machine
 
 # Chaos gate: the fault-injection matrix under the race detector, sweeping
 # a fixed seed range (CHAOS_SEEDS plans per fault mix). Every armed fault

@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"pokeemu/internal/expr"
 	"pokeemu/internal/x86"
@@ -61,73 +62,6 @@ func signExtTo64(v uint64, w uint8) uint64 {
 	return v | ^expr.Mask(w)
 }
 
-// Run executes the program concretely against st. maxSteps bounds the number
-// of executed statements (0 means a generous default).
-func Run(p *Program, st State, maxSteps int) (Outcome, error) {
-	if maxSteps == 0 {
-		maxSteps = 1 << 20
-	}
-	temps := make([]uint64, len(p.TempWidths))
-	val := func(o Operand) uint64 {
-		if o.IsConst {
-			return o.Val
-		}
-		return temps[o.Temp]
-	}
-	widthOf := func(o Operand) uint8 {
-		if o.IsConst {
-			return o.Width
-		}
-		return p.TempWidths[o.Temp]
-	}
-
-	pc := 0
-	for steps := 0; ; steps++ {
-		if steps >= maxSteps {
-			return Outcome{}, ErrStepLimit
-		}
-		if pc < 0 || pc >= len(p.Stmts) {
-			return Outcome{}, fmt.Errorf("ir: pc %d out of range in %s", pc, p.Name)
-		}
-		s := &p.Stmts[pc]
-		switch s.Kind {
-		case KAssign:
-			temps[s.Dst] = evalOp(s, val, widthOf)
-		case KMove:
-			temps[s.Dst] = val(s.Args[0])
-		case KGet:
-			temps[s.Dst] = st.Get(s.Loc) & expr.Mask(s.Loc.Width())
-		case KSet:
-			st.Set(s.Loc, val(s.Args[0]))
-		case KLoad:
-			temps[s.Dst] = st.Load(uint32(val(s.Args[0])), s.Width)
-		case KStore:
-			st.Store(uint32(val(s.Args[0])), val(s.Args[1]), s.Width)
-		case KCJump:
-			if val(s.Args[0])&1 == 1 {
-				pc = int(s.Target)
-				continue
-			}
-		case KJump:
-			pc = int(s.Target)
-			continue
-		case KRaise:
-			out := Outcome{Kind: OutRaise, Vector: s.Vector, HasErr: s.HasErr, Soft: s.Soft}
-			if s.HasErr {
-				out.ErrCode = uint32(val(s.Args[0]))
-			}
-			return out, nil
-		case KEnd:
-			return Outcome{Kind: OutEnd}, nil
-		case KHalt:
-			return Outcome{Kind: OutHalt}, nil
-		default:
-			return Outcome{}, fmt.Errorf("ir: unknown stmt kind %d", s.Kind)
-		}
-		pc++
-	}
-}
-
 // EdgeFunc observes one control-flow edge during concrete evaluation. It
 // fires on program entry (from = -1), on every jump — taken and
 // fall-through sides of KCJump, and KJump — and on termination (to = -1),
@@ -135,32 +69,36 @@ func Run(p *Program, st State, maxSteps int) (Outcome, error) {
 // reach it.
 type EdgeFunc func(from, to int)
 
-// RunEdges is Run with an edge observer for coverage instrumentation. The
-// loop is deliberately a separate copy of Run's: the non-coverage path pays
-// nothing for the hook, not even a nil check. Keep the two loops in sync.
+// tempsPool recycles temporaries across runs, so a run allocates nothing.
+var tempsPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// Run executes the program concretely against st. maxSteps bounds the number
+// of executed statements (0 means a generous default).
+func Run(p *Program, st State, maxSteps int) (Outcome, error) {
+	return RunEdges(p, st, maxSteps, nil)
+}
+
+// RunEdges is Run with an edge observer for coverage instrumentation. Both
+// share one loop; with a nil observer the hook costs one nil check per jump.
 func RunEdges(p *Program, st State, maxSteps int, edge EdgeFunc) (Outcome, error) {
-	if edge == nil {
-		return Run(p, st, maxSteps)
-	}
 	if maxSteps == 0 {
 		maxSteps = 1 << 20
 	}
-	temps := make([]uint64, len(p.TempWidths))
-	val := func(o Operand) uint64 {
-		if o.IsConst {
-			return o.Val
-		}
-		return temps[o.Temp]
+	buf := tempsPool.Get().(*[]uint64)
+	defer tempsPool.Put(buf)
+	if n := len(p.TempWidths); cap(*buf) < n {
+		*buf = make([]uint64, n)
+	} else {
+		// A temp read before it is written reads 0, as in a fresh slice.
+		*buf = (*buf)[:n]
+		clear(*buf)
 	}
-	widthOf := func(o Operand) uint8 {
-		if o.IsConst {
-			return o.Width
-		}
-		return p.TempWidths[o.Temp]
-	}
+	temps := *buf
 
 	pc := 0
-	edge(-1, 0)
+	if edge != nil {
+		edge(-1, 0)
+	}
 	for steps := 0; ; steps++ {
 		if steps >= maxSteps {
 			return Outcome{}, ErrStepLimit
@@ -171,40 +109,52 @@ func RunEdges(p *Program, st State, maxSteps int, edge EdgeFunc) (Outcome, error
 		s := &p.Stmts[pc]
 		switch s.Kind {
 		case KAssign:
-			temps[s.Dst] = evalOp(s, val, widthOf)
+			temps[s.Dst] = evalOp(s, temps, p.TempWidths)
 		case KMove:
-			temps[s.Dst] = val(s.Args[0])
+			temps[s.Dst] = val(&s.Args[0], temps)
 		case KGet:
 			temps[s.Dst] = st.Get(s.Loc) & expr.Mask(s.Loc.Width())
 		case KSet:
-			st.Set(s.Loc, val(s.Args[0]))
+			st.Set(s.Loc, val(&s.Args[0], temps))
 		case KLoad:
-			temps[s.Dst] = st.Load(uint32(val(s.Args[0])), s.Width)
+			temps[s.Dst] = st.Load(uint32(val(&s.Args[0], temps)), s.Width)
 		case KStore:
-			st.Store(uint32(val(s.Args[0])), val(s.Args[1]), s.Width)
+			st.Store(uint32(val(&s.Args[0], temps)), val(&s.Args[1], temps), s.Width)
 		case KCJump:
-			if val(s.Args[0])&1 == 1 {
-				edge(pc, int(s.Target))
+			if val(&s.Args[0], temps)&1 == 1 {
+				if edge != nil {
+					edge(pc, int(s.Target))
+				}
 				pc = int(s.Target)
 				continue
 			}
-			edge(pc, pc+1)
+			if edge != nil {
+				edge(pc, pc+1)
+			}
 		case KJump:
-			edge(pc, int(s.Target))
+			if edge != nil {
+				edge(pc, int(s.Target))
+			}
 			pc = int(s.Target)
 			continue
 		case KRaise:
 			out := Outcome{Kind: OutRaise, Vector: s.Vector, HasErr: s.HasErr, Soft: s.Soft}
 			if s.HasErr {
-				out.ErrCode = uint32(val(s.Args[0]))
+				out.ErrCode = uint32(val(&s.Args[0], temps))
 			}
-			edge(pc, -1)
+			if edge != nil {
+				edge(pc, -1)
+			}
 			return out, nil
 		case KEnd:
-			edge(pc, -1)
+			if edge != nil {
+				edge(pc, -1)
+			}
 			return Outcome{Kind: OutEnd}, nil
 		case KHalt:
-			edge(pc, -1)
+			if edge != nil {
+				edge(pc, -1)
+			}
 			return Outcome{Kind: OutHalt}, nil
 		default:
 			return Outcome{}, fmt.Errorf("ir: unknown stmt kind %d", s.Kind)
@@ -213,9 +163,25 @@ func RunEdges(p *Program, st State, maxSteps int, edge EdgeFunc) (Outcome, error
 	}
 }
 
-func evalOp(s *Stmt, val func(Operand) uint64, widthOf func(Operand) uint8) uint64 {
+// val reads an operand: its constant, or its temp's current value.
+func val(o *Operand, temps []uint64) uint64 {
+	if o.IsConst {
+		return o.Val
+	}
+	return temps[o.Temp]
+}
+
+// width returns an operand's width in bits.
+func width(o *Operand, widths []uint8) uint8 {
+	if o.IsConst {
+		return o.Width
+	}
+	return widths[o.Temp]
+}
+
+func evalOp(s *Stmt, temps []uint64, widths []uint8) uint64 {
 	m := expr.Mask(s.Width)
-	a := val(s.Args[0])
+	a := val(&s.Args[0], temps)
 	switch s.EOp {
 	case expr.OpNot:
 		return ^a & m
@@ -224,12 +190,12 @@ func evalOp(s *Stmt, val func(Operand) uint64, widthOf func(Operand) uint8) uint
 	case expr.OpZExt:
 		return a
 	case expr.OpSExt:
-		return signExtTo64(a, widthOf(s.Args[0])) & m
+		return signExtTo64(a, width(&s.Args[0], widths)) & m
 	case expr.OpExtract:
 		return a >> s.Lo & m
 	}
-	bw := widthOf(s.Args[1])
-	b := val(s.Args[1])
+	bw := width(&s.Args[1], widths)
+	b := val(&s.Args[1], temps)
 	switch s.EOp {
 	case expr.OpAnd:
 		return a & b
@@ -279,7 +245,7 @@ func evalOp(s *Stmt, val func(Operand) uint64, widthOf func(Operand) uint8) uint
 		}
 		return 0
 	case expr.OpSlt:
-		aw := widthOf(s.Args[0])
+		aw := width(&s.Args[0], widths)
 		if int64(signExtTo64(a, aw)) < int64(signExtTo64(b, bw)) {
 			return 1
 		}
@@ -288,9 +254,9 @@ func evalOp(s *Stmt, val func(Operand) uint64, widthOf func(Operand) uint8) uint
 		return (a<<bw | b) & m
 	case expr.OpIte:
 		if a&1 == 1 {
-			return val(s.Args[1])
+			return b
 		}
-		return val(s.Args[2])
+		return val(&s.Args[2], temps)
 	default:
 		panic(fmt.Sprintf("ir: eval of op %s", s.EOp))
 	}

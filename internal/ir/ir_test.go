@@ -111,6 +111,56 @@ func TestRunStepLimit(t *testing.T) {
 	}
 }
 
+// TestRunClearsPooledTemps checks that pooled temps come back zeroed: a run
+// leaves its temps in the pool, and a later program that reads a temp
+// before writing it must still see 0, instrumented or not.
+func TestRunClearsPooledTemps(t *testing.T) {
+	b := NewBuilder("dirty")
+	for i := 0; i < 64; i++ {
+		b.Move(b.NewTemp(32), b.Const(32, 0xdead0000|uint64(i)))
+	}
+	b.End()
+	dirty := b.Build()
+
+	b = NewBuilder("fresh")
+	unset := b.NewTemp(32)
+	b.Set(x86.GPR(x86.EAX), b.Add(unset, b.Const(32, 1)))
+	b.Set(x86.GPR(x86.EBX), unset)
+	b.End()
+	fresh := b.Build()
+
+	stale := 0
+	for i := 0; i < 100; i++ {
+		if _, err := Run(dirty, newMapState(), 0); err != nil {
+			t.Fatal(err)
+		}
+		// Peek at the pool: the scenario is real only if the dirty
+		// temps are what the next run gets.
+		buf := tempsPool.Get().(*[]uint64)
+		if len(*buf) == 64 && (*buf)[63] != 0 {
+			stale++
+		}
+		tempsPool.Put(buf)
+
+		st := newMapState()
+		run := Run
+		if i%2 == 1 {
+			run = func(p *Program, st State, n int) (Outcome, error) {
+				return RunEdges(p, st, n, func(int, int) {})
+			}
+		}
+		if _, err := run(fresh, st, 0); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := st.Get(x86.GPR(x86.EAX)), st.Get(x86.GPR(x86.EBX)); a != 1 || b != 0 {
+			t.Fatalf("run %d: unwritten temp read %#x (eax %#x), want 0", i, b, a)
+		}
+	}
+	if stale == 0 {
+		t.Error("no run reused dirty pooled temps")
+	}
+}
+
 func TestRaiseOutcome(t *testing.T) {
 	b := NewBuilder("gp")
 	b.Raise(x86.ExcGP, b.Const(32, 0x50))

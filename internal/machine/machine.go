@@ -91,7 +91,7 @@ func (m *Memory) pageForWrite(pn uint32) *page {
 		return p
 	}
 	p := new(page)
-	if src := m.find(pn); src != nil {
+	if src := m.base.find(pn); src != nil {
 		*p = *src
 	}
 	m.pages[pn] = p
@@ -114,8 +114,22 @@ func (m *Memory) Write8(addr uint32, v byte) {
 	m.pageForWrite(addr / PageSize)[addr%PageSize] = v
 }
 
-// Read reads a little-endian value of 1, 2 or 4 bytes.
+// Read reads a little-endian value of 1, 2 or 4 bytes. An access inside one
+// page costs one page lookup; one that crosses a page (or wraps at 4 MiB)
+// goes byte by byte.
 func (m *Memory) Read(addr uint32, bytes uint8) uint64 {
+	addr &= PhysMask
+	if off := addr % PageSize; off+uint32(bytes) <= PageSize {
+		p := m.find(addr / PageSize)
+		if p == nil {
+			return 0
+		}
+		var v uint64
+		for i := uint32(bytes); i > 0; i-- {
+			v = v<<8 | uint64(p[off+i-1])
+		}
+		return v
+	}
 	var v uint64
 	for i := uint8(0); i < bytes; i++ {
 		v |= uint64(m.Read8(addr+uint32(i))) << (8 * i)
@@ -123,11 +137,37 @@ func (m *Memory) Read(addr uint32, bytes uint8) uint64 {
 	return v
 }
 
-// Write writes a little-endian value of 1, 2 or 4 bytes.
+// Write writes a little-endian value of 1, 2 or 4 bytes, with Read's
+// one-lookup path inside a page. A zero-width write touches no page.
 func (m *Memory) Write(addr uint32, v uint64, bytes uint8) {
+	if bytes == 0 {
+		return
+	}
+	addr &= PhysMask
+	if off := addr % PageSize; off+uint32(bytes) <= PageSize {
+		p := m.pageForWrite(addr / PageSize)
+		for i := uint32(0); i < uint32(bytes); i++ {
+			p[off+i] = byte(v >> (8 * i))
+		}
+		return
+	}
 	for i := uint8(0); i < bytes; i++ {
 		m.Write8(addr+uint32(i), byte(v>>(8*i)))
 	}
+}
+
+// appendPageRun appends the n bytes at addr, which must not cross a page,
+// with one page lookup.
+func (m *Memory) appendPageRun(dst []byte, addr uint32, n int) []byte {
+	addr &= PhysMask
+	if p := m.find(addr / PageSize); p != nil {
+		off := addr % PageSize
+		return append(dst, p[off:off+uint32(n)]...)
+	}
+	for ; n > 0; n-- {
+		dst = append(dst, 0)
+	}
+	return dst
 }
 
 // WriteBytes copies buf into memory at addr.

@@ -74,9 +74,10 @@ func (m *Machine) Translate(lin uint32, write bool) (uint32, *ExceptionInfo) {
 // FetchCode reads up to n instruction bytes at CS:EIP, applying the code
 // segment limit per byte and page translation per page run. It returns the
 // bytes fetched before the first fault (if any) and that fault. One page
-// walk covers every byte up to the page boundary, with identical fault
-// behavior to a per-byte walk: bytes are produced in order, and the first
-// byte past the limit or on a faulting page stops the fetch with the fault.
+// walk and one page lookup cover every byte up to the page boundary, with
+// identical fault behavior to a per-byte walk: bytes are produced in order,
+// and the first byte past the limit or on a faulting page stops the fetch
+// with the fault.
 func (m *Machine) FetchCode(n int) ([]byte, *ExceptionInfo) {
 	cs := &m.Seg[x86.CS]
 	out := make([]byte, 0, n)
@@ -100,9 +101,7 @@ func (m *Machine) FetchCode(n int) ([]byte, *ExceptionInfo) {
 		if left := uint64(cs.Limit) - uint64(off) + 1; uint64(run) > left {
 			run = int(left)
 		}
-		for j := 0; j < run; j++ {
-			out = append(out, m.Mem.Read8(phys+uint32(j)))
-		}
+		out = m.Mem.appendPageRun(out, phys, run)
 		i += run
 	}
 	return out, nil

@@ -24,7 +24,7 @@ type deliveryKey struct {
 
 // deliveryMemo caches compiled delivery bodies process-wide. Delivery is a
 // pure function of its key — it reads no guest bytes — and Programs are
-// immutable after Build (ir.Run and ir.RunEdges only read them), so every
+// immutable after Build (the interpreter only reads them), so every
 // emulator and guest can share one body per key.
 var deliveryMemo struct {
 	mu    sync.Mutex
