@@ -1147,7 +1147,7 @@ func decodeExecEntry(ent *corpus.ExecEntry, image *machine.Memory) (*trio, error
 		if impl.Impl != implOrder[i] {
 			return nil, fmt.Errorf("campaign: exec entry order %q, want %q", impl.Impl, implOrder[i])
 		}
-		snap, err := machine.ReadSnapshot(bytes.NewReader(impl.Snap), image)
+		snap, err := machine.DecodeSnapshot(impl.Snap, image)
 		if err != nil {
 			return nil, err
 		}

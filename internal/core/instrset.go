@@ -7,7 +7,9 @@
 package core
 
 import (
-	"sort"
+	"bytes"
+	"slices"
+	"strings"
 
 	"pokeemu/internal/x86"
 )
@@ -55,58 +57,87 @@ type InstrSetResult struct {
 // immediate/displacement bytes are fixed at the concrete zero. Every
 // completed walk is one decoder path; valid paths become candidates, and
 // one representative is kept per per-instruction implementation.
+//
+// The walk makes no per-path garbage: it moves through one instruction
+// buffer in place and decodes it into one reused Inst, so only decode
+// errors, candidates and representatives allocate.
 func ExploreInstructionSet() *InstrSetResult {
-	res := &InstrSetResult{}
-	uniq := make(map[string]*UniqueInstr)
+	w := &instrWalker{uniq: make(map[uniqKey]*UniqueInstr, 1024)}
+	// The decoder tables yield ~206k candidates; one up-front allocation
+	// spares the ~20 MB that growing the slice by appends would copy.
+	w.res.Candidates = make([]Candidate, 0, 1<<18)
+	w.walk(0)
 
-	try := func(chosen []byte) {
-		res.ExploredPaths++
-		full := make([]byte, x86.MaxInstLen)
-		copy(full, chosen)
-		inst, err := x86.Decode(full)
-		if err != nil {
-			return
-		}
-		var c Candidate
-		copy(c.Bytes[:], full[:3])
-		c.Spec = inst.Spec
-		c.OpSize = inst.OpSize
-		res.Candidates = append(res.Candidates, c)
-		u := &UniqueInstr{Spec: inst.Spec, OpSize: inst.OpSize, Repr: full[:inst.Len]}
-		if prev, ok := uniq[u.Key()]; !ok || len(u.Repr) < len(prev.Repr) {
-			uniq[u.Key()] = u // keep the shortest representative of the cell
-		}
+	type keyed struct {
+		key string
+		u   *UniqueInstr
 	}
+	sorted := make([]keyed, 0, len(w.uniq))
+	for _, u := range w.uniq {
+		sorted = append(sorted, keyed{u.Key(), u})
+	}
+	slices.SortFunc(sorted, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	w.res.Unique = make([]*UniqueInstr, len(sorted))
+	for i, k := range sorted {
+		w.res.Unique[i] = k.u
+	}
+	return &w.res
+}
 
-	var dfs func(chosen []byte)
-	dfs = func(chosen []byte) {
-		if len(chosen) >= 3 {
-			try(chosen)
-			return
-		}
-		switch x86.NextByteRole(chosen) {
-		case x86.RoleDispatch:
-			for b := 0; b < 256; b++ {
-				dfs(append(append([]byte(nil), chosen...), byte(b)))
-			}
-		case x86.RoleSIB:
-			// One two-way branch: base≠5-with-mod-0 vs the disp32 form.
-			dfs2 := func(sib byte) {
-				try(append(append([]byte(nil), chosen...), sib))
-			}
-			dfs2(0x00)
-			dfs2(0x05)
-		default:
-			try(chosen)
-		}
-	}
-	dfs(nil)
+// uniqKey partitions decoded instructions exactly as UniqueInstr.Key does,
+// without building the key string per path.
+type uniqKey struct {
+	name string
+	op16 bool
+}
 
-	for _, u := range uniq {
-		res.Unique = append(res.Unique, u)
+// instrWalker is one instruction-set exploration's state.
+type instrWalker struct {
+	buf  [x86.MaxInstLen]byte // the walked prefix; every byte past it is zero
+	inst x86.Inst             // reused decode target; Raw aliases buf
+	res  InstrSetResult
+	uniq map[uniqKey]*UniqueInstr
+}
+
+// walk branches on the byte at position depth of buf.
+func (w *instrWalker) walk(depth int) {
+	if depth >= 3 {
+		w.try()
+		return
 	}
-	sort.Slice(res.Unique, func(i, j int) bool {
-		return res.Unique[i].Key() < res.Unique[j].Key()
-	})
-	return res
+	switch x86.NextByteRole(w.buf[:depth]) {
+	case x86.RoleDispatch:
+		for b := 0; b < 256; b++ {
+			w.buf[depth] = byte(b)
+			w.walk(depth + 1)
+		}
+		w.buf[depth] = 0
+	case x86.RoleSIB:
+		// One two-way branch: base≠5-with-mod-0 vs the disp32 form.
+		for _, sib := range [...]byte{0x00, 0x05} {
+			w.buf[depth] = sib
+			w.try()
+		}
+		w.buf[depth] = 0
+	default:
+		w.try()
+	}
+}
+
+// try decodes the buffer as one completed decoder path.
+func (w *instrWalker) try() {
+	w.res.ExploredPaths++
+	inst := &w.inst
+	if x86.DecodeInto(w.buf[:], inst) != nil {
+		return
+	}
+	c := Candidate{Spec: inst.Spec, OpSize: inst.OpSize}
+	copy(c.Bytes[:], w.buf[:3])
+	w.res.Candidates = append(w.res.Candidates, c)
+	k := uniqKey{inst.Spec.Name, inst.OpSize == 16}
+	if prev, ok := w.uniq[k]; !ok || inst.Len < len(prev.Repr) {
+		// Keep the shortest representative of the cell, in its own memory:
+		// inst.Raw is the walk's buffer.
+		w.uniq[k] = &UniqueInstr{Spec: inst.Spec, OpSize: inst.OpSize, Repr: bytes.Clone(inst.Raw)}
+	}
 }

@@ -7,6 +7,8 @@
 // rare-edge-favoring scheduling cheap.
 package coverage
 
+import "slices"
+
 // MapBits sizes the edge table; 2^16 counters keeps the map at 128 KiB and
 // the collision rate negligible for per-instruction IR bodies.
 const (
@@ -19,9 +21,20 @@ const (
 // replayed.
 const Version = 1
 
-// Map is one execution's edge-hit counters.
+// Map is one execution's edge-hit counters. It also lists the counters it
+// has touched, so every operation but New works on the edges hit instead of
+// scanning the whole table, and a Reset map is cheap to reuse. Reads sort
+// that list in place, so a Map is not safe for concurrent use, even by
+// readers.
 type Map struct {
-	counts []uint16
+	counts  []uint16
+	touched []uint32 // indexes with a nonzero counter
+}
+
+// Hit is one nonzero edge counter.
+type Hit struct {
+	Idx   uint32
+	Count uint16
 }
 
 // New returns an empty coverage map.
@@ -63,9 +76,19 @@ func (m *Map) Add(progID uint64, from, to int) {
 
 // AddIndex records one traversal of an already-hashed edge.
 func (m *Map) AddIndex(idx uint32) {
-	if c := m.counts[idx]; c != ^uint16(0) {
+	c := m.counts[idx]
+	if c == 0 {
+		m.touched = append(m.touched, idx)
+	}
+	if c != ^uint16(0) {
 		m.counts[idx] = c + 1
 	}
+}
+
+// edges sorts the touched indexes in place and returns them.
+func (m *Map) edges() []uint32 {
+	slices.Sort(m.touched)
+	return m.touched
 }
 
 // Bucket maps a raw hit count onto its AFL-style power-of-two class
@@ -91,23 +114,17 @@ func Bucket(n uint16) uint8 {
 }
 
 // Count returns the number of distinct edges hit.
-func (m *Map) Count() int {
-	n := 0
-	for _, c := range m.counts {
-		if c != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (m *Map) Count() int { return len(m.touched) }
 
 // Edges returns the hit edge indexes in ascending order.
-func (m *Map) Edges() []uint32 {
-	out := make([]uint32, 0, 64)
-	for i, c := range m.counts {
-		if c != 0 {
-			out = append(out, uint32(i))
-		}
+func (m *Map) Edges() []uint32 { return slices.Clone(m.edges()) }
+
+// Hits returns the nonzero counters in ascending index order: the compact
+// copy of the map a caller keeps after Reset.
+func (m *Map) Hits() []Hit {
+	out := make([]Hit, len(m.touched))
+	for i, idx := range m.edges() {
+		out[i] = Hit{idx, m.counts[idx]}
 	}
 	return out
 }
@@ -122,13 +139,10 @@ func (m *Map) Signature() uint64 {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}
-	for i, c := range m.counts {
-		if c == 0 {
-			continue
-		}
+	for _, i := range m.edges() {
 		step(byte(i))
 		step(byte(i >> 8))
-		step(Bucket(c))
+		step(Bucket(m.counts[i]))
 	}
 	return h
 }
@@ -137,11 +151,10 @@ func (m *Map) Signature() uint64 {
 // returning how many edges were new to m.
 func (m *Map) Merge(o *Map) int {
 	newEdges := 0
-	for i, c := range o.counts {
-		if c == 0 {
-			continue
-		}
+	for _, i := range o.touched {
+		c := o.counts[i]
 		if m.counts[i] == 0 {
+			m.touched = append(m.touched, i)
 			newEdges++
 		}
 		if s := uint32(m.counts[i]) + uint32(c); s > uint32(^uint16(0)) {
@@ -157,9 +170,9 @@ func (m *Map) Merge(o *Map) int {
 // this input reach that the baseline did not" question.
 func (m *Map) Diff(o *Map) []uint32 {
 	var out []uint32
-	for i, c := range m.counts {
-		if c != 0 && o.counts[i] == 0 {
-			out = append(out, uint32(i))
+	for _, i := range m.edges() {
+		if o.counts[i] == 0 {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -167,9 +180,10 @@ func (m *Map) Diff(o *Map) []uint32 {
 
 // Reset clears the map for reuse.
 func (m *Map) Reset() {
-	for i := range m.counts {
+	for _, i := range m.touched {
 		m.counts[i] = 0
 	}
+	m.touched = m.touched[:0]
 }
 
 // Global accumulates corpus-wide coverage: the set of (edge, bucket)
@@ -186,14 +200,13 @@ func NewGlobal() *Global {
 	return &Global{buckets: make([]uint16, MapSize), inputs: make([]uint32, MapSize)}
 }
 
-// AddInput folds one execution's map into the accumulator, returning the
-// number of edges never seen before and the number of new (edge, bucket)
-// classes (AFL's "new bits": nonzero exactly when the input is interesting).
-func (g *Global) AddInput(m *Map) (newEdges, newBits int) {
-	for i, c := range m.counts {
-		if c == 0 {
-			continue
-		}
+// AddInput folds one execution's counters (Map.Hits) into the accumulator,
+// returning the number of edges never seen before and the number of new
+// (edge, bucket) classes (AFL's "new bits": nonzero exactly when the input
+// is interesting).
+func (g *Global) AddInput(hits []Hit) (newEdges, newBits int) {
+	for _, h := range hits {
+		i, c := h.Idx, h.Count
 		if g.inputs[i] == 0 {
 			newEdges++
 			g.edges++

@@ -1,6 +1,10 @@
 package coverage
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func TestProgIDStable(t *testing.T) {
 	if ProgID("add_rm8_r8") != ProgID("add_rm8_r8") {
@@ -127,9 +131,13 @@ func TestEdgesMergeDiff(t *testing.T) {
 	// Merge saturates rather than wrapping.
 	sat := New()
 	idx := EdgeIndex(pid, 9, 9)
-	sat.counts[idx] = ^uint16(0) - 1
+	for i := 0; i < int(^uint16(0))-1; i++ {
+		sat.AddIndex(idx)
+	}
 	add := New()
-	add.counts[idx] = 5
+	for i := 0; i < 5; i++ {
+		add.AddIndex(idx)
+	}
 	sat.Merge(add)
 	if sat.counts[idx] != ^uint16(0) {
 		t.Fatalf("merge wrapped: %d", sat.counts[idx])
@@ -148,13 +156,13 @@ func TestGlobalAccumulation(t *testing.T) {
 	m1 := New()
 	m1.Add(pid, 0, 1)
 	m1.Add(pid, 1, 2)
-	newEdges, newBits := g.AddInput(m1)
+	newEdges, newBits := g.AddInput(m1.Hits())
 	if newEdges != 2 || newBits != 2 {
 		t.Fatalf("first input: edges %d bits %d", newEdges, newBits)
 	}
 
 	// Same map again: no new edges, no new bucket classes.
-	newEdges, newBits = g.AddInput(m1)
+	newEdges, newBits = g.AddInput(m1.Hits())
 	if newEdges != 0 || newBits != 0 {
 		t.Fatalf("repeat input: edges %d bits %d", newEdges, newBits)
 	}
@@ -164,7 +172,7 @@ func TestGlobalAccumulation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m2.Add(pid, 0, 1)
 	}
-	newEdges, newBits = g.AddInput(m2)
+	newEdges, newBits = g.AddInput(m2.Hits())
 	if newEdges != 0 || newBits != 1 {
 		t.Fatalf("hotter input: edges %d bits %d", newEdges, newBits)
 	}
@@ -188,5 +196,144 @@ func TestGlobalAccumulation(t *testing.T) {
 	}
 	if got := g.Rarity(m1.Edges(), 10); got != 2 {
 		t.Fatalf("Rarity(10) = %d, want 2", got)
+	}
+}
+
+// Dense-scan references: the whole-table loops the touched list replaced.
+
+func denseEdges(m *Map) []uint32 {
+	out := make([]uint32, 0, 64)
+	for i, c := range m.counts {
+		if c != 0 {
+			out = append(out, uint32(i))
+		}
+	}
+	return out
+}
+
+func denseSignature(m *Map) uint64 {
+	h := uint64(14695981039346656037)
+	step := func(b byte) {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	for i, c := range m.counts {
+		if c == 0 {
+			continue
+		}
+		step(byte(i))
+		step(byte(i >> 8))
+		step(Bucket(c))
+	}
+	return h
+}
+
+func denseAddInput(g *Global, m *Map) (newEdges, newBits int) {
+	for i, c := range m.counts {
+		if c == 0 {
+			continue
+		}
+		if g.inputs[i] == 0 {
+			newEdges++
+			g.edges++
+		}
+		g.inputs[i]++
+		bit := uint16(1) << Bucket(c)
+		if g.buckets[i]&bit == 0 {
+			g.buckets[i] |= bit
+			newBits++
+		}
+	}
+	return newEdges, newBits
+}
+
+// randomMap fills m (after a Reset) with seeded random hits: a few hot
+// edges, many cold ones, some saturated.
+func randomMap(rng *rand.Rand, m *Map) {
+	m.Reset()
+	for n := rng.Intn(400); n > 0; n-- {
+		idx := uint32(rng.Intn(MapSize))
+		if rng.Intn(8) == 0 {
+			idx &= 0xff // cluster some edges to force repeats
+		}
+		for k := 1 + rng.Intn(40); k > 0; k-- {
+			m.AddIndex(idx)
+		}
+	}
+	if rng.Intn(4) == 0 {
+		idx := uint32(rng.Intn(MapSize))
+		for k := 0; k < 70000; k++ {
+			m.AddIndex(idx)
+		}
+	}
+}
+
+// TestSparseMatchesDenseScan checks every touched-list operation against
+// the dense scan on seeded random maps, with one map reused across
+// iterations the way the hybrid fuzzer reuses its per-worker map.
+func TestSparseMatchesDenseScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	m, o := New(), New()
+	g, dg := NewGlobal(), NewGlobal()
+	for iter := 0; iter < 200; iter++ {
+		randomMap(rng, m)
+		randomMap(rng, o)
+		if got, want := m.Edges(), denseEdges(m); !slices.Equal(got, want) {
+			t.Fatalf("iter %d: Edges = %v, want %v", iter, got, want)
+		}
+		if got, want := m.Count(), len(denseEdges(m)); got != want {
+			t.Fatalf("iter %d: Count = %d, want %d", iter, got, want)
+		}
+		if got, want := m.Signature(), denseSignature(m); got != want {
+			t.Fatalf("iter %d: Signature = %#x, want %#x", iter, got, want)
+		}
+		hits := m.Hits()
+		if len(hits) != m.Count() {
+			t.Fatalf("iter %d: %d hits for %d edges", iter, len(hits), m.Count())
+		}
+		for i, h := range hits {
+			if h.Count != m.counts[h.Idx] || (i > 0 && h.Idx <= hits[i-1].Idx) {
+				t.Fatalf("iter %d: hit %d = %+v not an ascending copy of the counters", iter, i, h)
+			}
+		}
+		ge, gb := g.AddInput(hits)
+		de, db := denseAddInput(dg, m)
+		if ge != de || gb != db || g.Edges() != dg.Edges() {
+			t.Fatalf("iter %d: AddInput = (%d, %d), %d edges; dense (%d, %d), %d edges",
+				iter, ge, gb, g.Edges(), de, db, dg.Edges())
+		}
+		var wantDiff []uint32
+		for _, i := range denseEdges(m) {
+			if o.counts[i] == 0 {
+				wantDiff = append(wantDiff, i)
+			}
+		}
+		if got := m.Diff(o); !slices.Equal(got, wantDiff) {
+			t.Fatalf("iter %d: Diff = %v, want %v", iter, got, wantDiff)
+		}
+		want := slices.Clone(m.counts)
+		newEdges := 0
+		for i, c := range o.counts {
+			if c == 0 {
+				continue
+			}
+			if want[i] == 0 {
+				newEdges++
+			}
+			want[i] = uint16(min(uint32(want[i])+uint32(c), uint32(^uint16(0))))
+		}
+		if got := m.Merge(o); got != newEdges || !slices.Equal(m.counts, want) {
+			t.Fatalf("iter %d: Merge = %d new edges, want %d (or counters differ)", iter, got, newEdges)
+		}
+		if got, want := m.Signature(), denseSignature(m); got != want {
+			t.Fatalf("iter %d: merged Signature = %#x, want %#x", iter, got, want)
+		}
+	}
+	if !slices.Equal(g.inputs, dg.inputs) || !slices.Equal(g.buckets, dg.buckets) {
+		t.Fatal("accumulated Global differs from the dense scan")
+	}
+	m.Reset()
+	if slices.ContainsFunc(m.counts, func(c uint16) bool { return c != 0 }) || m.Count() != 0 {
+		t.Fatal("Reset left counters behind")
 	}
 }

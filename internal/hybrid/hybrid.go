@@ -186,6 +186,10 @@ type fuzzer struct {
 	// in campaign.Run, so celer's translation-block cache and the hardware
 	// oracle's shared program cache persist across candidates.
 	celer, hardware harness.Factory
+
+	// maps pools the 128 KiB coverage maps coverRun records into; each goes
+	// back cleared, so a worker reuses one map across its runs.
+	maps sync.Pool
 }
 
 // newFuzzer builds the state for one stage over a normalized cfg.
@@ -207,16 +211,21 @@ type handlerCov struct {
 	sigs map[uint64]bool
 }
 
+// covRecord is one instrumented execution's coverage in compact form.
+type covRecord struct {
+	sig   uint64
+	edges []uint32       // hit edges, ascending
+	hits  []coverage.Hit // the same edges with their counters
+}
+
 // candidate is one job's output before the canonical merge.
 type candidate struct {
-	skipped  bool
-	parent   *Input
-	op       string
-	prog     []byte
-	testOff  int
-	sig      uint64
-	edges    []uint32
-	cov      *coverage.Map
+	skipped bool
+	parent  *Input
+	op      string
+	prog    []byte
+	testOff int
+	covRecord
 	fidelis  *harness.Result
 	handler  string
 	mnemonic string
@@ -261,18 +270,25 @@ func Run(ctx context.Context, cfg Config, seeds []Seed) (*Result, error) {
 	return f.res, nil
 }
 
-// coverRun executes one input on the instrumented Hi-Fi interpreter.
-func (f *fuzzer) coverRun(prog []byte) (*coverage.Map, *harness.Result) {
-	cov := coverage.New()
+// coverRun executes one input on the instrumented Hi-Fi interpreter,
+// recording into a pooled map that goes back cleared.
+func (f *fuzzer) coverRun(prog []byte) (*covRecord, *harness.Result) {
+	cov, _ := f.maps.Get().(*coverage.Map)
+	if cov == nil {
+		cov = coverage.New()
+	}
 	r := harness.RunBootBudget(harness.CoverageFactory(cov), f.cfg.Image, f.cfg.Boot, prog, f.budget)
-	return cov, r
+	rec := &covRecord{sig: cov.Signature(), edges: cov.Edges(), hits: cov.Hits()}
+	cov.Reset()
+	f.maps.Put(cov)
+	return rec, r
 }
 
 // admit merges one novel-signature input into the corpus and all coverage
 // accumulators; callers have already checked the signature is unseen.
-func (f *fuzzer) admit(in *Input, cov *coverage.Map) {
+func (f *fuzzer) admit(in *Input, hits []coverage.Hit) {
 	f.sigs[in.Sig] = true
-	_, newBits := f.global.AddInput(cov)
+	_, newBits := f.global.AddInput(hits)
 	in.NewBits = newBits
 	if newBits > 0 {
 		f.res.Stats.NewCoverage++
@@ -282,7 +298,7 @@ func (f *fuzzer) admit(in *Input, cov *coverage.Map) {
 		hc = &handlerCov{g: coverage.NewGlobal(), sigs: make(map[uint64]bool)}
 		f.byHand[in.Handler] = hc
 	}
-	hc.g.AddInput(cov)
+	hc.g.AddInput(hits)
 	hc.sigs[in.Sig] = true
 	f.res.Inputs = append(f.res.Inputs, in)
 }
@@ -291,7 +307,7 @@ func (f *fuzzer) admit(in *Input, cov *coverage.Map) {
 // signature-distinct ones, carrying over the campaign's divergence verdicts.
 func (f *fuzzer) evalSeeds(ctx context.Context, seeds []Seed) {
 	f.res.Stats.Seeds = len(seeds)
-	covs := make([]*coverage.Map, len(seeds))
+	covs := make([]*covRecord, len(seeds))
 	runPool(ctx, f.cfg.Workers, len(seeds), func(i int) {
 		covs[i], _ = f.coverRun(seeds[i].Prog)
 	})
@@ -304,7 +320,7 @@ func (f *fuzzer) evalSeeds(ctx context.Context, seeds []Seed) {
 		// coverage duplicates an earlier one — so the hybrid report reproduces
 		// the campaign's full known-divergence set.
 		f.res.Divergences = append(f.res.Divergences, s.Divs...)
-		sig := covs[i].Signature()
+		sig := covs[i].sig
 		if !seen[sig] {
 			seen[sig] = true
 			f.res.Stats.SeedSignatures++
@@ -315,11 +331,11 @@ func (f *fuzzer) evalSeeds(ctx context.Context, seeds []Seed) {
 		in := &Input{
 			ID: s.ID, Handler: s.Handler, Mnemonic: s.Mnemonic,
 			Prog: s.Prog, TestOff: s.TestOff,
-			Sig: sig, EdgeCount: covs[i].Count(),
+			Sig: sig, EdgeCount: len(covs[i].edges),
 			Divergent: len(s.Divs) > 0,
-			edges:     covs[i].Edges(),
+			edges:     covs[i].edges,
 		}
-		f.admit(in, covs[i])
+		f.admit(in, covs[i].hits)
 	}
 }
 
@@ -362,9 +378,8 @@ func (f *fuzzer) runRound(ctx context.Context, round, n int) {
 		c.parent, c.op = parent, op
 		c.prog, c.testOff = prog, len(init)
 		c.handler, c.mnemonic = parent.Handler, parent.Mnemonic
-		c.cov, c.fidelis = f.coverRun(prog)
-		c.sig = c.cov.Signature()
-		c.edges = c.cov.Edges()
+		rec, fi := f.coverRun(prog)
+		c.covRecord, c.fidelis = *rec, fi
 		c.skipped = false
 	})
 
@@ -400,7 +415,7 @@ func (f *fuzzer) runRound(ctx context.Context, round, n int) {
 			Divergent: len(divs[i]) > 0,
 			edges:     c.edges,
 		}
-		f.admit(in, c.cov)
+		f.admit(in, c.hits)
 		if in.Divergent {
 			f.res.Stats.Divergent++
 			f.res.Divergences = append(f.res.Divergences, divs[i]...)
@@ -524,16 +539,15 @@ func (f *fuzzer) reseed(ctx context.Context) {
 				continue
 			}
 			f.res.Stats.ReseedTests++
-			cov, fi := f.coverRun(p.Code)
-			sig := cov.Signature()
+			rec, fi := f.coverRun(p.Code)
+			sig := rec.sig
 			if f.sigs[sig] {
 				f.res.Stats.Deduped++
 				continue
 			}
 			id := fmt.Sprintf("%s~s%d", in.ID, k)
 			c := &candidate{
-				prog: p.Code, testOff: p.TestOffset, sig: sig,
-				edges: cov.Edges(), cov: cov, fidelis: fi,
+				prog: p.Code, testOff: p.TestOffset, covRecord: *rec, fidelis: fi,
 				handler: in.Handler, mnemonic: in.Mnemonic,
 			}
 			ds := f.trio(id, c)
@@ -545,7 +559,7 @@ func (f *fuzzer) reseed(ctx context.Context) {
 				Divergent: len(ds) > 0,
 				edges:     c.edges,
 			}
-			f.admit(nin, cov)
+			f.admit(nin, rec.hits)
 			if nin.Divergent {
 				f.res.Stats.Divergent++
 				f.res.Divergences = append(f.res.Divergences, ds...)

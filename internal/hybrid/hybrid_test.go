@@ -223,17 +223,17 @@ func TestReseedDirect(t *testing.T) {
 		Instrs:   fix.instrs,
 	})
 	s := fix.seeds[0]
-	cov, fi := f.coverRun(s.Prog)
+	rec, fi := f.coverRun(s.Prog)
 	if fi.Snapshot == nil {
 		t.Fatal("seed run produced no snapshot")
 	}
 	in := &Input{
 		ID: s.ID, Handler: s.Handler, Mnemonic: s.Mnemonic,
 		Prog: s.Prog, TestOff: s.TestOff,
-		Sig: cov.Signature(), EdgeCount: cov.Count(),
-		Promising: true, edges: cov.Edges(),
+		Sig: rec.sig, EdgeCount: len(rec.edges),
+		Promising: true, edges: rec.edges,
 	}
-	f.admit(in, cov)
+	f.admit(in, rec.hits)
 	f.reseed(context.Background())
 	if f.res.Stats.Reseeds != 1 {
 		t.Fatalf("Reseeds = %d, want 1 (replay or instruction resolution failed)", f.res.Stats.Reseeds)

@@ -9,7 +9,8 @@ import (
 // FuzzReadSnapshot feeds hostile bytes to the snapshot decoder: encoded
 // snapshots come from the corpus, which is untrusted input. Decoding must
 // never panic, and anything that decodes must re-encode and re-decode to
-// the same CPU, exception and page contents.
+// the same CPU, exception and page contents. The per-page reference
+// decoder must accept exactly the same inputs, with the same result.
 func FuzzReadSnapshot(f *testing.F) {
 	image := BaselineImage()
 	var buf bytes.Buffer
@@ -26,9 +27,17 @@ func FuzzReadSnapshot(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first, err := ReadSnapshot(bytes.NewReader(data), image)
+		ref, refErr := readSnapshotPerPage(bytes.NewReader(data), image)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoder err = %v, per-page reference err = %v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
+		if first.CPU != ref.CPU || !reflect.DeepEqual(first.Exception, ref.Exception) {
+			t.Fatalf("decoder and per-page reference disagree on CPU or exception")
+		}
+		pagesEqual(t, first.Mem, ref.Mem, image, image)
 		var again bytes.Buffer
 		if err := first.WriteTo(&again, image); err != nil {
 			t.Fatal(err)

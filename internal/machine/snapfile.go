@@ -198,14 +198,25 @@ func (d *snapDecoder) u64() uint64 {
 	return 0
 }
 
-// ReadSnapshot deserializes a snapshot. Pages are layered over the given
-// base image, which must be the shared image used when writing: a touched
-// page whose base page does not match the writer's CRC is an error.
+// ReadSnapshot deserializes a snapshot read from r; see DecodeSnapshot.
 func ReadSnapshot(r io.Reader, base *Memory) (*Snapshot, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
+	return DecodeSnapshot(data, base)
+}
+
+// pageRecordMin is the smallest encoded page record: page number, CRC and
+// run count with no runs.
+const pageRecordMin = 4 + 4 + 2
+
+// DecodeSnapshot deserializes an encoded snapshot. Pages are layered over
+// the given base image, which must be the shared image used when writing: a
+// touched page whose base page does not match the writer's CRC is an error.
+// The snapshot shares no memory with data; its touched pages come from one
+// allocation.
+func DecodeSnapshot(data []byte, base *Memory) (*Snapshot, error) {
 	d := &snapDecoder{b: data}
 	if magic := d.take(len(snapMagic)); d.err == nil && string(magic) != snapMagic {
 		return nil, fmt.Errorf("machine: bad snapshot magic %q", magic)
@@ -247,12 +258,19 @@ func ReadSnapshot(r io.Reader, base *Memory) (*Snapshot, error) {
 	if count > NumPages {
 		return nil, fmt.Errorf("machine: snapshot claims %d pages", count)
 	}
+	// Refuse a count the remaining bytes cannot hold before allocating for
+	// it; such input would fail as truncated further on anyway.
+	if int(count)*pageRecordMin > len(d.b) {
+		return nil, fmt.Errorf("machine: truncated snapshot: %d pages in %d bytes: %w",
+			count, len(d.b), io.ErrUnexpectedEOF)
+	}
 	if base == nil {
 		base = NewMemory()
 	}
-	mem := base.Overlay()
+	mem := &Memory{pages: make(map[uint32]*page, count), base: base}
+	slab := make([]page, count)
 	var prev uint32
-	for i := uint32(0); i < count; i++ {
+	for i := range slab {
 		pn, sum, runs := d.u32(), d.u32(), d.u16()
 		if d.err != nil {
 			return nil, d.err
@@ -264,7 +282,7 @@ func ReadSnapshot(r io.Reader, base *Memory) (*Snapshot, error) {
 			return nil, fmt.Errorf("machine: snapshot page %#x out of order", pn)
 		}
 		prev = pn
-		p := new(page)
+		p := &slab[i]
 		copy(p[:], basePage(base, pn))
 		if crc32.Checksum(p[:], castagnoli) != sum {
 			return nil, fmt.Errorf("machine: snapshot page %#x was written against a different base image", pn)

@@ -2,6 +2,11 @@ package machine
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -212,4 +217,123 @@ func TestSnapshotFileRejects(t *testing.T) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestDecodeSnapshotRefusesHugeCount: a header claiming NumPages pages with
+// no page bytes behind it is refused before the 4 MiB page slab exists.
+func TestDecodeSnapshotRefusesHugeCount(t *testing.T) {
+	image := BaselineImage()
+	var buf bytes.Buffer
+	if err := NewBaseline(image).Snapshot(nil).WriteTo(&buf, image); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if got := binary.LittleEndian.Uint32(data[len(data)-4:]); got != 0 {
+		t.Fatalf("baseline snapshot lists %d pages, want 0", got)
+	}
+	binary.LittleEndian.PutUint32(data[len(data)-4:], NumPages)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeSnapshot(data, image)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("err = %v, want a truncated snapshot", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("refusing the header allocated %d bytes", n)
+	}
+	if _, err := readSnapshotPerPage(bytes.NewReader(data), image); err == nil {
+		t.Error("the per-page decoder accepts the header")
+	}
+}
+
+// readSnapshotPerPage is the snapshot decoder DecodeSnapshot replaced: it
+// reads the whole stream into a copy and allocates every touched page on
+// its own. DecodeSnapshot must agree with it on every input.
+func readSnapshotPerPage(r io.Reader, base *Memory) (*Snapshot, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	d := &snapDecoder{b: data}
+	if magic := d.take(len(snapMagic)); d.err == nil && string(magic) != snapMagic {
+		return nil, fmt.Errorf("machine: bad snapshot magic %q", magic)
+	}
+	if version := d.u16(); d.err == nil && version != snapVersion {
+		return nil, fmt.Errorf("machine: unsupported snapshot version %d", version)
+	}
+
+	s := &Snapshot{}
+	c := &s.CPU
+	for i := range c.GPR {
+		c.GPR[i] = d.u32()
+	}
+	c.EIP = d.u32()
+	c.EFLAGS = d.u32()
+	for i := range c.Seg {
+		c.Seg[i] = Segment{Sel: d.u16(), Base: d.u32(), Limit: d.u32(), Attr: d.u16()}
+	}
+	for _, v := range []*uint32{&c.CR0, &c.CR2, &c.CR3, &c.CR4,
+		&c.GDTRBase, &c.GDTRLimit, &c.IDTRBase, &c.IDTRLimit} {
+		*v = d.u32()
+	}
+	for i := range c.MSR {
+		c.MSR[i] = d.u64()
+	}
+	c.Halted = d.u8() == 1
+
+	// Exception record.
+	present, errCode, vector, hasErr := d.u8(), d.u32(), d.u8(), d.u8()
+	if present == 1 {
+		s.Exception = &ExceptionInfo{Vector: vector, ErrCode: errCode, HasErr: hasErr == 1}
+	}
+
+	// Pages.
+	count := d.u32()
+	if d.err != nil {
+		return nil, d.err
+	}
+	if count > NumPages {
+		return nil, fmt.Errorf("machine: snapshot claims %d pages", count)
+	}
+	if base == nil {
+		base = NewMemory()
+	}
+	mem := base.Overlay()
+	var prev uint32
+	for i := uint32(0); i < count; i++ {
+		pn, sum, runs := d.u32(), d.u32(), d.u16()
+		if d.err != nil {
+			return nil, d.err
+		}
+		if pn >= NumPages {
+			return nil, fmt.Errorf("machine: snapshot page %#x out of range", pn)
+		}
+		if i > 0 && pn <= prev {
+			return nil, fmt.Errorf("machine: snapshot page %#x out of order", pn)
+		}
+		prev = pn
+		p := new(page)
+		copy(p[:], basePage(base, pn))
+		if crc32.Checksum(p[:], castagnoli) != sum {
+			return nil, fmt.Errorf("machine: snapshot page %#x was written against a different base image", pn)
+		}
+		for j := uint16(0); j < runs; j++ {
+			off, n := int(d.u16()), int(d.u16())
+			if off+n > PageSize {
+				return nil, fmt.Errorf("machine: snapshot page %#x run [%d,+%d) overflows the page", pn, off, n)
+			}
+			copy(p[off:], d.take(n))
+			if d.err != nil {
+				return nil, d.err
+			}
+		}
+		mem.pages[pn] = p
+	}
+	if len(d.b) != 0 {
+		return nil, fmt.Errorf("machine: %d trailing bytes after snapshot", len(d.b))
+	}
+	s.Mem = mem
+	return s, nil
 }

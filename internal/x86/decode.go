@@ -80,21 +80,37 @@ func NextByteRole(prefix []byte) ByteRole {
 // Decode parses one instruction from code. It implements the decode logic
 // whose branch structure the instruction-set exploration walks symbolically:
 // prefix loop → opcode (1 or 2 bytes) → group sub-opcode → ModRM/SIB/
-// displacement → immediates.
+// displacement → immediates. The returned Inst owns a private copy of the
+// consumed bytes.
 func Decode(code []byte) (*Inst, error) {
-	d := decoder{code: code}
-	inst, err := d.run()
-	if err != nil {
+	inst := new(Inst)
+	if err := DecodeInto(code, inst); err != nil {
 		return nil, err
 	}
-	inst.Raw = append([]byte(nil), code[:d.pos]...)
-	inst.Len = d.pos
+	inst.Raw = append([]byte(nil), inst.Raw...)
 	return inst, nil
+}
+
+// DecodeInto is Decode into a caller-owned Inst, for loops that decode many
+// instructions without keeping them. It resets every field of *inst first,
+// so nothing of a previous decode survives. On success inst.Raw aliases
+// code[:inst.Len]: it is valid only while the caller leaves code unchanged.
+// On error *inst holds no meaningful instruction.
+func DecodeInto(code []byte, inst *Inst) error {
+	*inst = Inst{OpSize: 32, SegOverride: -1}
+	d := decoder{code: code, inst: inst}
+	if err := d.run(); err != nil {
+		return err
+	}
+	inst.Raw = code[:d.pos:d.pos]
+	inst.Len = d.pos
+	return nil
 }
 
 type decoder struct {
 	code []byte
 	pos  int
+	inst *Inst
 }
 
 func (d *decoder) byte() (byte, error) {
@@ -133,8 +149,9 @@ func (d *decoder) u32() (uint32, error) {
 	return lo | hi<<16, nil
 }
 
-func (d *decoder) run() (*Inst, error) {
-	inst := &Inst{OpSize: 32, SegOverride: -1}
+// run decodes into d.inst, which the caller has reset.
+func (d *decoder) run() error {
+	inst := d.inst
 
 	// Prefix loop. Each prefix byte may appear; repeats are tolerated as on
 	// hardware (the last segment override wins).
@@ -143,7 +160,7 @@ func (d *decoder) run() (*Inst, error) {
 	for {
 		b, err := d.byte()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e := Tab1[b]
 		if e.Kind == tabPrefix {
@@ -179,7 +196,7 @@ func (d *decoder) run() (*Inst, error) {
 	if entry.Kind == tabEscape {
 		b, err := d.byte()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		entry, op = Tab2[b], b
 		inst.TwoByte = true
@@ -193,26 +210,26 @@ func (d *decoder) run() (*Inst, error) {
 		// The group sub-opcode lives in the ModRM reg field; peek it now,
 		// the ModRM byte itself is consumed below.
 		if d.pos >= len(d.code) {
-			return nil, &DecodeError{Kind: ErrTruncated, Pos: d.pos}
+			return &DecodeError{Kind: ErrTruncated, Pos: d.pos}
 		}
 		reg := d.code[d.pos] >> 3 & 7
 		spec := entry.Group[reg]
 		if spec == nil {
-			return nil, &DecodeError{Kind: ErrUndefined, Pos: d.pos}
+			return &DecodeError{Kind: ErrUndefined, Pos: d.pos}
 		}
 		inst.Spec = spec
 	default:
-		return nil, &DecodeError{Kind: ErrUndefined, Pos: d.pos - 1}
+		return &DecodeError{Kind: ErrUndefined, Pos: d.pos - 1}
 	}
 
 	if inst.Spec.HasModRM() {
 		if err := d.modRM(inst); err != nil {
-			return nil, err
+			return err
 		}
 		// Memory-only forms (#UD when mod = 11).
 		for _, k := range inst.Spec.Operands {
 			if k == OpdM && inst.Mod() == 3 {
-				return nil, &DecodeError{Kind: ErrUndefined, Pos: d.pos}
+				return &DecodeError{Kind: ErrUndefined, Pos: d.pos}
 			}
 		}
 	}
@@ -223,7 +240,7 @@ func (d *decoder) run() (*Inst, error) {
 		case OpdImm8, OpdRel8:
 			b, err := d.byte()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if inst.ImmSize == 0 {
 				inst.Imm, inst.ImmSize = uint64(b), 1
@@ -233,14 +250,14 @@ func (d *decoder) run() (*Inst, error) {
 		case OpdImm8s:
 			b, err := d.byte()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v := uint64(int64(int8(b))) & maskFor(inst.OpSize)
 			inst.Imm, inst.ImmSize = v, 1
 		case OpdImm16:
 			v, err := d.u16()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if inst.ImmSize == 0 {
 				inst.Imm, inst.ImmSize = uint64(v), 2
@@ -258,7 +275,7 @@ func (d *decoder) run() (*Inst, error) {
 				inst.ImmSize = 4
 			}
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if k == OpdRelv && inst.OpSize == 16 {
 				v = uint32(int32(int16(v))) // rel16 sign-extends
@@ -267,12 +284,12 @@ func (d *decoder) run() (*Inst, error) {
 		case OpdMoffs8, OpdMoffsv:
 			v, err := d.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			inst.Disp, inst.DispSize = v, 4
 		}
 	}
-	return inst, nil
+	return nil
 }
 
 func maskFor(opSize int) uint64 {

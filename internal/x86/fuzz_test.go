@@ -2,6 +2,7 @@ package x86
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -10,8 +11,23 @@ import (
 // consumes between 1 and MaxInstLen bytes (never more than it was given),
 // Raw mirrors exactly the consumed bytes, the disassembler renders every
 // accepted instruction, and decoding is prefix-stable (re-decoding just the
-// consumed bytes yields the same instruction).
+// consumed bytes yields the same instruction). It is also the DecodeInto
+// oracle: decoding into an Inst left dirty by a prefix-, SIB-,
+// displacement- and immediate-heavy instruction must give Decode's result
+// field by field, so a field DecodeInto fails to reset shows up here.
 func FuzzDecode(f *testing.F) {
+	// lock cs: add dword [eax+ecx*4+0x12345678], 0x9abcdef0 under the
+	// operand-size prefix; every optional field is set.
+	dirtyCode := []byte{0xf3, 0x2e, 0x66, 0xf0, 0x81, 0x84, 0x88, 0x78, 0x56, 0x34, 0x12, 0xf0, 0xde}
+	var dirty Inst
+	if err := DecodeInto(dirtyCode, &dirty); err != nil {
+		f.Fatalf("dirtying instruction does not decode: %v", err)
+	}
+	if !dirty.HasSIB || dirty.DispSize != 4 || dirty.ImmSize == 0 || dirty.SegOverride < 0 ||
+		!dirty.Lock || !dirty.Rep || dirty.OpSize != 16 {
+		f.Fatalf("dirtying instruction leaves fields clean: %+v", dirty)
+	}
+
 	f.Add([]byte{0x90})                                                 // nop
 	f.Add([]byte{0xb8, 0x2a, 0x00, 0x00, 0x00})                         // mov eax, imm32
 	f.Add([]byte{0x66, 0xb8, 0x2a, 0x00})                               // opsize prefix
@@ -25,6 +41,19 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, code []byte) {
 		inst, err := Decode(code)
+		into := dirty
+		intoErr := DecodeInto(code, &into)
+		if !reflect.DeepEqual(intoErr, err) {
+			t.Fatalf("DecodeInto(% x) err = %v, Decode err = %v", code, intoErr, err)
+		}
+		if err == nil {
+			if !reflect.DeepEqual(&into, inst) {
+				t.Fatalf("DecodeInto(% x) over a dirty Inst:\n got %+v\nwant %+v", code, into, *inst)
+			}
+			if &into.Raw[0] != &code[0] || len(into.Raw) != into.Len {
+				t.Fatalf("DecodeInto(% x): Raw does not alias the first %d input bytes", code, into.Len)
+			}
+		}
 		if err != nil {
 			if inst != nil {
 				t.Fatalf("Decode(% x) returned both an instruction and %v", code, err)
