@@ -421,10 +421,10 @@ func BenchmarkE11ColdExplore(b *testing.B) {
 		float64(maxi(1, int(res.Solver.InternHits+res.Solver.InternMisses))), "%intern-hit")
 }
 
-// BenchmarkAblation reproduces the E16 and E18 ablations: the cold
-// sequential E11 campaign with one solver or celer optimization switched
-// off per sub-benchmark. The switches live only in campaign.Config (Solver
-// and NoFastPath), not in either CLI or the daemon. Run with:
+// BenchmarkAblation reproduces the E16 and E18 solver ablations: the cold
+// sequential E11 campaign with one solver optimization switched off per
+// sub-benchmark. The switches live only in campaign.Config.Solver, not in
+// either CLI or the daemon. Run with:
 //
 //	go test -run xxx -bench BenchmarkAblation -benchtime 1x .
 func BenchmarkAblation(b *testing.B) {
@@ -436,7 +436,6 @@ func BenchmarkAblation(b *testing.B) {
 		{"nobatch", func(cfg *campaign.Config) { cfg.Solver.NoBatch = true }},
 		{"nosub", func(cfg *campaign.Config) { cfg.Solver.NoSubsume = true }},
 		{"noreduce", func(cfg *campaign.Config) { cfg.Solver.NoReduce = true }},
-		{"nofastpath", func(cfg *campaign.Config) { cfg.NoFastPath = true }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := e11Config(1)

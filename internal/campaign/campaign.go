@@ -71,13 +71,8 @@ type Config struct {
 	// Solver holds the exploration solver's ablation switches. The zero
 	// value is production. A non-zero value changes which models the
 	// solver returns, so its Label is part of the corpus cache namespace.
-	// Reachable from tests and benchmarks only, like NoFastPath.
+	// Reachable from tests and benchmarks only.
 	Solver solver.Options
-	// NoFastPath disables celer's direct-dispatch fast path, forcing every
-	// step through the shared-cache dispatcher and the per-execution
-	// re-lowering slow path. The zero value enables the fast path. Reports
-	// are byte-identical either way.
-	NoFastPath bool
 	// Vote enables N-way voted verdicts: every test additionally runs on
 	// lento (the independent direct-decode interpreter), and the three
 	// emulators — fidelis, celer, lento — are partitioned into equivalence
@@ -208,11 +203,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("campaign: Hybrid.MutatorWorkers must be >= 0 (got %d)", c.Hybrid.MutatorWorkers)
 	}
 	return nil
-}
-
-// DefaultConfig mirrors the paper's settings.
-func DefaultConfig() Config {
-	return Config{MaxPathsPerInstr: 8192, Seed: 1}
 }
 
 // InstrReport summarizes one instruction's exploration and testing.
@@ -806,7 +796,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	boot := testgen.BaselineInit()
 	fiF := harness.FidelisFactory()
-	ceF := harness.CelerFactoryFast(!cfg.NoFastPath)
+	ceF := harness.CelerFactory()
 	hwF := harness.HardwareFactory()
 	leF := harness.LentoFactory()
 	// The -resume execution cache stores the classic trio only; a voting

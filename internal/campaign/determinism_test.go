@@ -60,45 +60,6 @@ func TestWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestFastPathDeterminism: the Lo-Fi direct-dispatch fast path is a pure
-// execution-speed knob — the campaign report must be byte-identical with it
-// on (the default) and off, at any worker count. The solver configuration is
-// held fixed, so any drift here is a fast-path semantics bug, not a model
-// change.
-func TestFastPathDeterminism(t *testing.T) {
-	cfg := Config{
-		MaxPathsPerInstr: 24,
-		Handlers:         []string{"push_r", "leave", "add_rmv_rv", "shl_rmv_imm8"},
-		Seed:             7,
-	}
-	cfg.Workers = 1
-	fast, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NoFastPath = true
-	cfg.Workers = 8
-	slow, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sf, ss := fast.Summary(), slow.Summary(); sf != ss {
-		t.Errorf("summaries differ between fast and slow dispatch:\n--- fast:\n%s\n--- slow:\n%s", sf, ss)
-	}
-	for _, r := range append(append([]*InstrReport(nil), fast.Reports...), slow.Reports...) {
-		r.ExploreWall = 0
-	}
-	if !reflect.DeepEqual(fast.Reports, slow.Reports) {
-		t.Error("per-instruction reports differ between fast and slow dispatch")
-	}
-	if !reflect.DeepEqual(fast.RootCauses, slow.RootCauses) {
-		t.Error("root-cause clustering differs between fast and slow dispatch")
-	}
-	if !reflect.DeepEqual(fast.Differences, slow.Differences) {
-		t.Error("difference lists diverge between fast and slow dispatch")
-	}
-}
-
 // TestSolverBatchDeterminism: batching only changes which model the solver
 // returns for satisfiable queries, never satisfiability itself — so a
 // batched and an unbatched campaign must agree on every verdict-level

@@ -8,10 +8,11 @@ import (
 	"pokeemu/internal/x86"
 )
 
-// BenchmarkCelerDispatch prices one guest step on each dispatch path with a
-// hot counted loop — the workload shape where direct dispatch matters:
-// every step hits code that is already translated, so the whole cost is
-// finding and entering the translation, not producing it. E16 quotes the
+// BenchmarkCelerDispatch prices one guest step with a hot counted loop,
+// through Step (fast) and through the re-lowering reference dispatcher
+// (slow) — the workload shape where direct dispatch matters: every step
+// hits code that is already translated, so the whole cost is finding and
+// entering the translation, not producing it. E16 quotes the
 // fast/slow ratio from this benchmark; campaign-scale test programs are too
 // short for the difference to be visible there.
 func BenchmarkCelerDispatch(b *testing.B) {
@@ -33,8 +34,10 @@ func BenchmarkCelerDispatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := machine.NewBaseline(nil)
 				m.Mem.WriteBytes(machine.CodeBase, prog)
-				e := NewWithCache(m, cache)
-				e.SetFastPath(bc.fast)
+				var e emu.Emulator = NewWithCache(m, cache)
+				if !bc.fast {
+					e = refEmulator{NewWithCache(m, cache)}
+				}
 				for {
 					ev := e.Step()
 					steps++

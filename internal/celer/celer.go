@@ -43,15 +43,11 @@ func gp(err uint32) *fault { return &fault{vec: x86.ExcGP, err: err, hasErr: tru
 // opFunc executes one translated instruction; nil means completed.
 type opFunc func(e *Emulator) *fault
 
-// TB is a cached translation: the decoded instruction plus its two
-// executables. fast is the direct-dispatch closure lowered once at
-// translation time; run is the interpreter-flavored slow path that
-// re-lowers on every execution. Both come from the same lowering, so a TB
-// serves whichever path the owning guest has enabled.
+// TB is a cached translation: the decoded instruction plus its executable,
+// lowered once at translation time.
 type TB struct {
 	inst *x86.Inst
-	run  opFunc
-	fast opFunc
+	op   opFunc
 }
 
 // Cache is the translation-block cache, shared across guests created from
@@ -87,9 +83,8 @@ func (c *Cache) insert(key string, tb *TB) {
 
 // Emulator is one guest instance of the Lo-Fi emulator.
 type Emulator struct {
-	m        *machine.Machine
-	cache    *Cache
-	fastpath bool
+	m     *machine.Machine
+	cache *Cache
 
 	// Guest-local direct-dispatch chain (dispatch.go). The shared Cache
 	// stays the source of truth; these are per-guest prediction structures.
@@ -102,15 +97,7 @@ func New(m *machine.Machine) *Emulator { return NewWithCache(m, NewCache()) }
 
 // NewWithCache creates a guest sharing a translation cache.
 func NewWithCache(m *machine.Machine, c *Cache) *Emulator {
-	return &Emulator{m: m, cache: c, fastpath: true}
-}
-
-// SetFastPath toggles the direct-dispatch fast path. Off means every Step
-// goes through the shared-cache dispatcher and the re-lowering slow
-// executable — the reference behavior the fast path must match exactly.
-func (e *Emulator) SetFastPath(on bool) {
-	e.fastpath = on
-	e.lastEnt = nil
+	return &Emulator{m: m, cache: c}
 }
 
 // Name implements emu.Emulator.
@@ -217,27 +204,9 @@ func (e *Emulator) translateTB(code []byte, st byte, fexc *machine.ExceptionInfo
 			return nil, &fault{vec: x86.ExcUD}
 		}
 	}
-	run, fast := translate(inst)
-	tb := &TB{inst: inst, run: run, fast: fast}
+	tb := &TB{inst: inst, op: translate(inst)}
 	e.cache.insert(key, tb)
 	return tb, nil
-}
-
-// Step implements emu.Emulator.
-func (e *Emulator) Step() emu.Event {
-	if e.fastpath {
-		return e.stepFast()
-	}
-	m := e.m
-	if m.Halted {
-		return emu.Event{Kind: emu.EventHalt}
-	}
-	code, fexc := m.FetchCode(x86.MaxInstLen)
-	tb, f := e.translateTB(code, transState(m), fexc)
-	if f != nil {
-		return e.deliver(f)
-	}
-	return e.finishStep(tb.run(e))
 }
 
 // finishStep maps the executable's fault result to the step event.

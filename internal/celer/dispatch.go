@@ -26,13 +26,14 @@ func entMatches(c *chainEntry, eip uint32, st byte, code []byte) bool {
 	return c.eip == eip && c.state == st && c.raw == string(code)
 }
 
-// stepFast is the direct-dispatch fast path. The common case touches no
-// shared state: the previous entry's fall-through link (or the guest-local
-// table) predicts the next translation, the raw fetched bytes revalidate
-// it, and the pre-lowered closure runs. Only a prediction miss re-enters
-// the shared-cache dispatcher. Instruction fetch still happens every step,
-// so paging faults and accessed-bit maintenance keep their timing.
-func (e *Emulator) stepFast() emu.Event {
+// Step implements emu.Emulator with direct dispatch. The common case
+// touches no shared state: the previous entry's fall-through link (or the
+// guest-local table) predicts the next translation, the raw fetched bytes
+// revalidate it, and the pre-lowered closure runs. Only a prediction miss
+// re-enters the shared-cache dispatcher. Instruction fetch still happens
+// every step, so paging faults and accessed-bit maintenance keep their
+// timing.
+func (e *Emulator) Step() emu.Event {
 	m := e.m
 	if m.Halted {
 		return emu.Event{Kind: emu.EventHalt}
@@ -63,7 +64,7 @@ func (e *Emulator) stepFast() emu.Event {
 		p.next = ent
 	}
 
-	f := ent.tb.fast(e)
+	f := ent.tb.op(e)
 	if f != nil {
 		e.lastEnt = nil
 		return e.finishStep(f)

@@ -69,10 +69,10 @@ func TestCelerTransState(t *testing.T) {
 }
 
 // TestCelerConcurrentGuestsSharedCache runs many guests concurrently over
-// one shared translation cache (the campaign's configuration) with the fast
-// path on. Run under -race this checks that the shared cache and the
-// guest-local dispatch chains do not share mutable state across guests; the
-// final state check verifies every guest computed the same result.
+// one shared translation cache (the campaign's configuration). Run under
+// -race this checks that the shared cache and the guest-local dispatch
+// chains do not share mutable state across guests; the final state check
+// verifies every guest computed the same result.
 func TestCelerConcurrentGuestsSharedCache(t *testing.T) {
 	cache := NewCache()
 	// A hot loop so the dispatch chain's fall-through links get exercised:
@@ -109,9 +109,10 @@ func TestCelerConcurrentGuestsSharedCache(t *testing.T) {
 	}
 }
 
-// TestCelerFastSlowEvents runs a fault-heavy program on both dispatch paths
-// and requires the event streams and final states to match exactly — the
-// fast path must be invisible to everything the harness observes.
+// TestCelerFastSlowEvents runs a fault-heavy program through Step and
+// through the reference dispatcher and requires the event streams and final
+// states to match exactly — direct dispatch must be invisible to everything
+// the harness observes.
 func TestCelerFastSlowEvents(t *testing.T) {
 	prog := cat(
 		x86.AsmMovRegImm32(x86.EAX, 7),
@@ -123,8 +124,10 @@ func TestCelerFastSlowEvents(t *testing.T) {
 	runPath := func(fast bool) (*machine.Machine, []emu.Event) {
 		m := machine.NewBaseline(nil)
 		m.Mem.WriteBytes(machine.CodeBase, prog)
-		e := New(m)
-		e.SetFastPath(fast)
+		var e emu.Emulator = New(m)
+		if !fast {
+			e = refEmulator{New(m)}
+		}
 		var events []emu.Event
 		for i := 0; i < 10000; i++ {
 			ev := e.Step()

@@ -6,19 +6,15 @@ import (
 	"pokeemu/internal/x86"
 )
 
-// translate builds both executables for one decoded instruction. fast is
-// lowered exactly once at translation time: all name parsing and form
-// dispatch happens here, and the returned closure touches no strings. run
-// re-lowers on every execution — the interpreter-flavored slow path kept
-// for differential testing. Both are thin wrappers over lower(), so their
-// semantics cannot drift apart.
-func translate(inst *x86.Inst) (run, fast opFunc) {
+// translate builds the executable for one decoded instruction, lowered
+// exactly once at translation time: all name parsing and form dispatch
+// happens here, and the returned closure touches no strings.
+func translate(inst *x86.Inst) opFunc {
 	// LOCK prefix legality matches the architecture.
 	if inst.Lock && (!inst.Spec.LockOK || inst.IsRegForm() || !inst.HasModRM) {
-		ud := func(e *Emulator) *fault { return &fault{vec: x86.ExcUD} }
-		return ud, ud
+		return func(e *Emulator) *fault { return &fault{vec: x86.ExcUD} }
 	}
-	return func(e *Emulator) *fault { return lower(inst)(e) }, lower(inst)
+	return lower(inst)
 }
 
 // lower dispatches one decoded instruction to its lowering constructor.

@@ -166,18 +166,6 @@ func (m *Map) Merge(o *Map) int {
 	return newEdges
 }
 
-// Diff returns the edges hit by m but not by o, ascending — the "what did
-// this input reach that the baseline did not" question.
-func (m *Map) Diff(o *Map) []uint32 {
-	var out []uint32
-	for _, i := range m.edges() {
-		if o.counts[i] == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Reset clears the map for reuse.
 func (m *Map) Reset() {
 	for _, i := range m.touched {
@@ -224,9 +212,6 @@ func (g *Global) AddInput(hits []Hit) (newEdges, newBits int) {
 // Edges returns the number of distinct edges any input has hit.
 func (g *Global) Edges() int { return g.edges }
 
-// InputsAt returns how many inputs hit an edge.
-func (g *Global) InputsAt(idx uint32) uint32 { return g.inputs[idx] }
-
 // Rarity counts how many of the given edges at most maxHits inputs have
 // reached — the scheduling weight of an input holding those edges.
 func (g *Global) Rarity(edges []uint32, maxHits uint32) int {
@@ -237,16 +222,4 @@ func (g *Global) Rarity(edges []uint32, maxHits uint32) int {
 		}
 	}
 	return n
-}
-
-// RareEdges returns every edge reached by at most maxHits inputs,
-// ascending.
-func (g *Global) RareEdges(maxHits uint32) []uint32 {
-	var out []uint32
-	for i, c := range g.inputs {
-		if c > 0 && c <= maxHits {
-			out = append(out, uint32(i))
-		}
-	}
-	return out
 }

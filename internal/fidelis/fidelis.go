@@ -99,7 +99,8 @@ func New(m *machine.Machine) *Emulator {
 	return NewWithConfig(m, sem.BochsConfig)
 }
 
-// NewWithConfig allows a custom semantics configuration (used by hwsim).
+// NewWithConfig allows a custom semantics configuration (the hardware
+// undefined-flag policy, for instance).
 func NewWithConfig(m *machine.Machine, cfg sem.Config) *Emulator {
 	return &Emulator{m: m, cfg: cfg, cache: NewCache()}
 }

@@ -62,20 +62,14 @@ func CoverageFactory(cov *coverage.Map) Factory {
 // CelerFactory builds the Lo-Fi emulator with a translation-block cache
 // persistent across guests — the DBT speed advantage.
 func CelerFactory() Factory {
-	return CelerFactoryFast(true)
-}
-
-// CelerFactoryFast is CelerFactory with the direct-dispatch fast path
-// explicitly on or off; off forces every step through the shared-cache
-// dispatcher and the re-lowering slow executable.
-func CelerFactoryFast(fast bool) Factory {
 	cache := celer.NewCache()
 	return Factory{Name: "celer", New: func(m *machine.Machine) emu.Emulator {
-		e := celer.NewWithCache(m, cache)
-		e.SetFastPath(fast)
-		return e
+		return celer.NewWithCache(m, cache)
 	}}
 }
+
+// Deprecated: celer has one dispatch path; use CelerFactory.
+func CelerFactoryFast(bool) Factory { return CelerFactory() }
 
 // LentoFactory builds the third, deliberately independent backend: the
 // naive direct-decode interpreter. It shares no translation or evaluation

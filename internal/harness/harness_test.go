@@ -92,3 +92,26 @@ func TestWallClockBudget(t *testing.T) {
 		t.Errorf("step budget ran %d steps, want 500", res.Steps)
 	}
 }
+
+// TestGuestsAreIsolated: every Run boots a fresh guest, so memory a test
+// wrote is invisible to the next test run through the same factory, even
+// though the factory's translation or program cache is shared between the
+// two guests (the §5.2 reset-between-tests property).
+func TestGuestsAreIsolated(t *testing.T) {
+	const addr = 0x300000
+	dirty := append(x86.AsmMovMemImm32(addr, 0xdead), x86.AsmMovRegMem32(x86.EAX, addr)...)
+	dirty = append(dirty, x86.AsmHlt()...)
+	probe := append(x86.AsmMovRegMem32(x86.EAX, addr), x86.AsmHlt()...)
+	for _, name := range []string{"fidelis", "celer", "hardware", "lento"} {
+		f, ok := ByName(name)
+		if !ok {
+			t.Fatalf("ByName(%q) not found", name)
+		}
+		if got := Run(f, nil, dirty, 100).Snapshot.CPU.GPR[x86.EAX]; got != 0xdead {
+			t.Fatalf("%s: dirtying test read back %#x, want 0xdead", name, got)
+		}
+		if got := Run(f, nil, probe, 100).Snapshot.CPU.GPR[x86.EAX]; got != 0 {
+			t.Errorf("%s: next guest read %#x at %#x, want 0 (state leaked across runs)", name, got, addr)
+		}
+	}
+}

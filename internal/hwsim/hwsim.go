@@ -1,17 +1,16 @@
 // Package hwsim simulates the real-hardware reference of the paper's
 // three-way comparison: an Intel workstation virtualized by a customized
 // KVM. The "hardware" executes the ideal architectural semantics with the
-// hardware undefined-flag policy; the Monitor reproduces the KVM workflow
-// of Section 5.2 — run the guest, intercept traps (exceptions, halts),
-// snapshot the guest CPU and physical memory, and reset the guest between
-// tests without a physical reboot.
+// hardware undefined-flag policy. The KVM workflow of Section 5.2 — run the
+// guest, intercept traps (exceptions, halts), snapshot the guest CPU and
+// physical memory, and start a fresh guest per test without a physical
+// reboot — is the harness's run loop (harness.HardwareFactory with
+// harness.RunBootBudget), shared with every emulator.
 package hwsim
 
 import (
-	"pokeemu/internal/emu"
 	"pokeemu/internal/fidelis"
 	"pokeemu/internal/machine"
-	"pokeemu/internal/x86"
 	"pokeemu/internal/x86/sem"
 )
 
@@ -22,11 +21,6 @@ type Hardware struct {
 	*fidelis.Emulator
 }
 
-// NewHardware builds the hardware model on a machine.
-func NewHardware(m *machine.Machine) *Hardware {
-	return &Hardware{fidelis.NewWithConfig(m, sem.HardwareConfig)}
-}
-
 // NewHardwareShared builds the hardware model with a shared program cache
 // (hardware executes natively; nothing needs per-guest translation).
 func NewHardwareShared(m *machine.Machine, cache *fidelis.Cache) *Hardware {
@@ -35,78 +29,3 @@ func NewHardwareShared(m *machine.Machine, cache *fidelis.Cache) *Hardware {
 
 // Name implements emu.Emulator.
 func (h *Hardware) Name() string { return "hardware" }
-
-// Monitor is the KVM-like virtual machine monitor: it owns the shared boot
-// image, creates a fresh guest per test, supervises execution, and
-// classifies traps. Mediated counts the privileged instructions that would
-// require VMM mediation on real silicon (the small set the paper verified
-// by hand); Exits counts all traps taken.
-type Monitor struct {
-	image *machine.Memory
-
-	Exits    int64
-	Mediated int64
-}
-
-// NewMonitor creates a monitor over a shared baseline image.
-func NewMonitor(image *machine.Memory) *Monitor {
-	if image == nil {
-		image = machine.BaselineImage()
-	}
-	return &Monitor{image: image}
-}
-
-// Image returns the shared boot image.
-func (mon *Monitor) Image() *machine.Memory { return mon.image }
-
-// RunTest boots a fresh guest with the test program loaded at the entry
-// point, supervises it to termination, and returns the final-state snapshot.
-// maxSteps bounds runaway guests (returned snapshot notes a timeout via a
-// nil exception and Halted=false).
-func (mon *Monitor) RunTest(program []byte, maxSteps int) *machine.Snapshot {
-	m := machine.NewBaseline(mon.image)
-	m.Mem.WriteBytes(machine.CodeBase, program)
-	hw := NewHardware(m)
-
-	var lastExc *machine.ExceptionInfo
-	for i := 0; i < maxSteps; i++ {
-		if wouldMediate(m) {
-			mon.Mediated++
-		}
-		ev := hw.Step()
-		switch ev.Kind {
-		case emu.EventHalt:
-			mon.Exits++
-			return m.Snapshot(lastExc)
-		case emu.EventException, emu.EventShutdown:
-			mon.Exits++
-			lastExc = ev.Exception
-			if ev.Kind == emu.EventShutdown {
-				return m.Snapshot(lastExc)
-			}
-		case emu.EventTimeout:
-			return m.Snapshot(lastExc)
-		}
-	}
-	return m.Snapshot(lastExc)
-}
-
-// wouldMediate reports whether the next instruction is one of the few that
-// a hardware-assisted VMM must intercept (control-register and descriptor-
-// table loads); everything else runs natively.
-func wouldMediate(m *machine.Machine) bool {
-	code, exc := m.FetchCode(x86.MaxInstLen)
-	if exc != nil {
-		return false
-	}
-	inst, err := x86.Decode(code)
-	if err != nil {
-		return false
-	}
-	switch inst.Spec.Name {
-	case "mov_cr_r", "mov_r_cr", "lgdt", "lidt", "lmsw", "clts", "invlpg",
-		"rdmsr", "wrmsr":
-		return true
-	}
-	return false
-}

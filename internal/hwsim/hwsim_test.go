@@ -3,62 +3,12 @@ package hwsim
 import (
 	"testing"
 
+	"pokeemu/internal/fidelis"
 	"pokeemu/internal/machine"
-	"pokeemu/internal/x86"
 )
 
-func TestMonitorRunTest(t *testing.T) {
-	mon := NewMonitor(nil)
-	prog := append(x86.AsmMovRegImm32(x86.EAX, 42), x86.AsmHlt()...)
-	snap := mon.RunTest(prog, 100)
-	if snap.CPU.GPR[x86.EAX] != 42 {
-		t.Errorf("eax = %d", snap.CPU.GPR[x86.EAX])
-	}
-	if !snap.CPU.Halted {
-		t.Error("guest should have halted")
-	}
-	if snap.Exception != nil {
-		t.Errorf("unexpected exception %v", snap.Exception)
-	}
-	if mon.Exits == 0 {
-		t.Error("the monitor must observe at least the halt exit")
-	}
-}
-
-func TestMonitorInterceptsException(t *testing.T) {
-	mon := NewMonitor(nil)
-	// div-by-zero → #DE, handled by the halting stub; the monitor records
-	// the exception and the terminal snapshot.
-	prog := append(x86.AsmMovRegImm32(x86.ECX, 0),
-		append([]byte{0xf7, 0xf1}, x86.AsmHlt()...)...)
-	snap := mon.RunTest(prog, 100)
-	if snap.Exception == nil || snap.Exception.Vector != x86.ExcDE {
-		t.Errorf("exception = %v, want #DE", snap.Exception)
-	}
-}
-
-func TestMonitorMediationCounting(t *testing.T) {
-	mon := NewMonitor(nil)
-	prog := append(x86.AsmMovRegCR(x86.EAX, 0), x86.AsmHlt()...)
-	mon.RunTest(prog, 100)
-	if mon.Mediated == 0 {
-		t.Error("control-register reads require VMM mediation")
-	}
-}
-
-func TestMonitorGuestsAreIsolated(t *testing.T) {
-	mon := NewMonitor(nil)
-	dirty := append(x86.AsmMovMemImm32(0x300000, 0xdead), x86.AsmHlt()...)
-	mon.RunTest(dirty, 100)
-	probe := append(x86.AsmMovRegMem32(x86.EAX, 0x300000), x86.AsmHlt()...)
-	snap := mon.RunTest(probe, 100)
-	if snap.CPU.GPR[x86.EAX] != 0 {
-		t.Error("guest state leaked across monitor resets")
-	}
-}
-
 func TestHardwareName(t *testing.T) {
-	hw := NewHardware(machine.NewBaseline(nil))
+	hw := NewHardwareShared(machine.NewBaseline(nil), fidelis.NewCache())
 	if hw.Name() != "hardware" {
 		t.Errorf("name = %q", hw.Name())
 	}

@@ -6,7 +6,7 @@ import "pokeemu/internal/x86"
 // address: not-present and write-protection checks, CR4.PSE large pages,
 // CR0.WP supervisor write protection, and accessed/dirty maintenance. It
 // mirrors the IR walk emitted by x86/sem (cross-checked by tests) and is
-// used for instruction fetch and by the KVM-style monitor.
+// used for instruction fetch and by celer's and lento's data accesses.
 //
 // On fault it sets CR2 and returns the page-fault exception.
 func (m *Machine) Translate(lin uint32, write bool) (uint32, *ExceptionInfo) {

@@ -58,6 +58,3 @@ func StatsSnapshot() Stats {
 		ReduceRemoved: reduceRemovedTotal.Load(),
 	}
 }
-
-// SubsumeHitsTotal reports process-wide model-subsumption fast-path hits.
-func SubsumeHitsTotal() int64 { return subsumeHitsTotal.Load() }

@@ -82,14 +82,6 @@ type Stats struct {
 	StmtsTotal   int
 }
 
-// Coverage returns the fraction of IR statements executed on some path.
-func (s Stats) Coverage() float64 {
-	if s.StmtsTotal == 0 {
-		return 0
-	}
-	return float64(s.StmtsCovered) / float64(s.StmtsTotal)
-}
-
 // Engine explores one IR program over a symbolic initial state.
 type Engine struct {
 	bv   *solver.BV
@@ -321,31 +313,6 @@ func (en *Engine) pickConcrete(e *expr.Expr) (uint64, error) {
 		val |= want << uint(i)
 	}
 	pinTo(val)
-	return val, nil
-}
-
-// ConcretizeEnum resolves a word-sized term to a concrete value through the
-// decision tree, bit by bit from the most significant end (Section 3.1.2's
-// extension): re-executions eventually enumerate every feasible value.
-func (en *Engine) ConcretizeEnum(e *expr.Expr) (uint64, error) {
-	if e.IsConst() {
-		return e.Val, nil
-	}
-	var val uint64
-	for i := int(e.Width) - 1; i >= 0; i-- {
-		bit := expr.Extract(e, uint8(i), 1)
-		if bit.IsConst() {
-			val |= bit.Val << uint(i)
-			continue
-		}
-		taken, err := en.branch(expr.Eq(bit, expr.One))
-		if err != nil {
-			return 0, err
-		}
-		if taken {
-			val |= 1 << uint(i)
-		}
-	}
 	return val, nil
 }
 

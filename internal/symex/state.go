@@ -171,9 +171,6 @@ func (s *SymState) StoreByte(addr uint32, e *expr.Expr) {
 	s.mem.write(addr, e)
 }
 
-// TouchedLocs returns the locations written (or marked) on this path.
-func (s *SymState) TouchedLocs() map[x86.Loc]*expr.Expr { return s.locs }
-
 // SymMemory is the two-level symbolic memory: an overlay of terms above the
 // concrete baseline image, with fresh variables created on demand for bytes
 // the image never populated (the paper's "all unused bytes of physical

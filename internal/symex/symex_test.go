@@ -280,38 +280,6 @@ func TestLoopPathsBoundedByCap(t *testing.T) {
 	}
 }
 
-func TestConcretizeEnumCoversAllValues(t *testing.T) {
-	st := newState(t)
-	st.MarkLocSymbolic(x86.GPR(x86.EAX), ^uint64(0))
-	side := expr.Ult(expr.Var(32, "st_eax"), expr.Const(32, 4))
-	en := NewEngine(st, []*expr.Expr{side}, DefaultOptions())
-
-	seen := map[uint64]bool{}
-	for i := 0; i < 64 && !en.tree.FullyExplored(); i++ {
-		en.pathCond = en.pathCond[:0]
-		en.pathLits = en.pathLits[:0]
-		en.walker = en.tree.walk()
-		en.st = en.initial.Clone()
-		v, err := en.ConcretizeEnum(expr.Extract(expr.Var(32, "st_eax"), 0, 3))
-		if err == errDeadEnd {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[v] = true
-		en.walker.complete()
-	}
-	for want := uint64(0); want < 4; want++ {
-		if !seen[want] {
-			t.Errorf("value %d never enumerated (seen %v)", want, seen)
-		}
-	}
-	if seen[4] || seen[5] || seen[6] || seen[7] {
-		t.Errorf("enumerated infeasible values: %v", seen)
-	}
-}
-
 func TestSummarizeDescriptorParse(t *testing.T) {
 	st := newState(t)
 	prog := sem.DescriptorParseProgram(false)
