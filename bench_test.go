@@ -192,7 +192,7 @@ func execBench(b *testing.B, factory harness.Factory) {
 	boot := testgen.BaselineInit()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		harness.RunBoot(factory, ex.Image(), boot, progs[i%len(progs)], 0)
+		harness.RunBootBudget(factory, ex.Image(), boot, progs[i%len(progs)], harness.Budget{})
 	}
 }
 
@@ -215,8 +215,8 @@ func BenchmarkE6eCompare(b *testing.B) {
 		b.Fatal(err)
 	}
 	boot := testgen.BaselineInit()
-	a := harness.RunBoot(harness.FidelisFactory(), ex.Image(), boot, p.Code, 0)
-	c := harness.RunBoot(harness.CelerFactory(), ex.Image(), boot, p.Code, 0)
+	a := harness.RunBootBudget(harness.FidelisFactory(), ex.Image(), boot, p.Code, harness.Budget{})
+	c := harness.RunBootBudget(harness.CelerFactory(), ex.Image(), boot, p.Code, harness.Budget{})
 	filter := diff.UndefFilterFor(tc.Handler)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

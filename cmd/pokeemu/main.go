@@ -426,8 +426,6 @@ func cmdCampaign(args []string) {
 	hybridBudget := fs.Int("hybrid-budget", 256,
 		"mutated-input executions the hybrid stage spends (with -hybrid)")
 	hybridSeed := fs.Int64("hybrid-seed", 0, "hybrid fuzzer RNG seed (0 = -seed)")
-	hybridWorkers := fs.Int("hybrid-workers", 0,
-		"hybrid mutator pool size (0 = -workers; never changes the report)")
 	vote := fs.Bool("vote", false,
 		"run every test on lento too and vote the three emulators into per-test verdicts with a blame column")
 	fs.Parse(args)
@@ -436,8 +434,8 @@ func cmdCampaign(args []string) {
 	if err != nil {
 		die(err)
 	}
-	if err := validateHybridFlags(*hybridOn, *hybridBudget, *hybridWorkers); err != nil {
-		die(err)
+	if *hybridOn && *hybridBudget <= 0 {
+		die(fmt.Errorf("-hybrid-budget must be >= 1 (got %d)", *hybridBudget))
 	}
 	if *faultSpec != "" {
 		if _, err := faults.ArmSpec(*faultSpec); err != nil {
@@ -454,11 +452,7 @@ func cmdCampaign(args []string) {
 
 	cfg.Vote = *vote
 	if *hybridOn {
-		cfg.Hybrid = campaign.HybridConfig{
-			Budget:         *hybridBudget,
-			Seed:           *hybridSeed,
-			MutatorWorkers: *hybridWorkers,
-		}
+		cfg.Hybrid = campaign.HybridConfig{Budget: *hybridBudget, Seed: *hybridSeed}
 	}
 	if *baselinePath != "" {
 		bl, err := triage.LoadBaseline(*baselinePath)
@@ -720,16 +714,6 @@ func (f *campaignFlags) config() (campaign.Config, error) {
 		cfg.Progress = progressPrinter(os.Stderr)
 	}
 	return cfg, nil
-}
-
-func validateHybridFlags(on bool, budget, workers int) error {
-	switch {
-	case on && budget <= 0:
-		return fmt.Errorf("-hybrid-budget must be >= 1 (got %d)", budget)
-	case workers < 0:
-		return fmt.Errorf("-hybrid-workers must be >= 0 (got %d)", workers)
-	}
-	return nil
 }
 
 // progressPrinter renders campaign progress events as throttled stderr

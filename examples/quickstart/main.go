@@ -81,7 +81,10 @@ func main() {
 	factories := []harness.Factory{
 		harness.FidelisFactory(), harness.CelerFactory(), harness.HardwareFactory(),
 	}
-	results := harness.RunAllBoot(factories, ex.Image(), boot, prog.Code, 0)
+	results := make([]*harness.Result, len(factories))
+	for i, f := range factories {
+		results[i] = harness.RunBootBudget(f, ex.Image(), boot, prog.Code, harness.Budget{})
+	}
 	fmt.Println("\nexecution results:")
 	for _, r := range results {
 		fmt.Printf("  %-9s exception=%v halted=%v esp=%#x\n",

@@ -43,7 +43,7 @@ func main() {
 	for _, f := range []harness.Factory{
 		harness.HardwareFactory(), harness.FidelisFactory(), harness.CelerFactory(),
 	} {
-		r := harness.RunBoot(f, image, boot, prog, 0)
+		r := harness.RunBootBudget(f, image, boot, prog, harness.Budget{})
 		leaked := r.Snapshot.CPU.GPR[x86.EBX]
 		switch {
 		case r.Snapshot.Exception != nil && r.Snapshot.Exception.Vector == x86.ExcGP:

@@ -32,6 +32,7 @@ import (
 	"pokeemu/internal/coverage"
 	"pokeemu/internal/diff"
 	"pokeemu/internal/expr"
+	"pokeemu/internal/fanout"
 	"pokeemu/internal/faults"
 	"pokeemu/internal/harness"
 	"pokeemu/internal/hybrid"
@@ -128,12 +129,6 @@ type Config struct {
 	// use; it should return quickly, or it stalls the pool. Progress never
 	// affects the Result.
 	Progress func(Event)
-
-	// testHookInstr, when set, runs at the start of each instruction task
-	// (test seam for fault injection).
-	testHookInstr func(key string)
-	// testHookExec, when set, runs at the start of each execution task.
-	testHookExec func(id string)
 }
 
 // HybridConfig scopes the optional coverage-guided fuzzing stage
@@ -147,9 +142,6 @@ type HybridConfig struct {
 	// Seed is the fuzzer's RNG seed (0 = the campaign Seed). The stage is a
 	// pure function of it.
 	Seed int64
-	// MutatorWorkers sizes the fuzzer's worker pool (0 = Workers). Like
-	// Workers, it never affects the Result.
-	MutatorWorkers int
 }
 
 // Pipeline stages reported through Config.Progress.
@@ -198,9 +190,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Hybrid.Budget < 0 {
 		return fmt.Errorf("campaign: Hybrid.Budget must be >= 0 (got %d)", c.Hybrid.Budget)
-	}
-	if c.Hybrid.MutatorWorkers < 0 {
-		return fmt.Errorf("campaign: Hybrid.MutatorWorkers must be >= 0 (got %d)", c.Hybrid.MutatorWorkers)
 	}
 	return nil
 }
@@ -639,14 +628,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	emit(StageExplore, "", 0, len(instrs))
 	var exploreDone atomic.Int64
 	exploreCtx, exploreCancel := stageCtx()
-	instrFaults, instrRan := runPool(exploreCtx, workers, len(instrs), func(i int) {
+	instrPanics, instrRan := fanout.Run(exploreCtx, workers, len(instrs), func(i int) {
 		defer func() {
 			emit(StageExplore, instrs[i].Key(), int(exploreDone.Add(1)), len(instrs))
 		}()
 		u := instrs[i]
-		if cfg.testHookInstr != nil {
-			cfg.testHookInstr(u.Key())
-		}
 		// Injected worker crash, keyed by instruction: the panic rides the
 		// pool's per-index isolation into a deterministic fault record.
 		if err := faults.Hit(faults.CampaignExplore, u.Key()); err != nil {
@@ -740,8 +726,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			// fault (the instruction contributed nothing) and a degraded
 			// unit, never a silent omission.
 			*o = instrOut{rep: &InstrReport{Key: instrs[i].Key(), Fault: ReasonStageDeadline}}
-		} else if msg := instrFaults[i]; msg != "" {
-			*o = instrOut{rep: &InstrReport{Key: instrs[i].Key(), Fault: msg}}
+		} else if p := instrPanics[i]; p != nil {
+			// The panic value only: a stack trace holds addresses, which
+			// would break report determinism.
+			*o = instrOut{rep: &InstrReport{Key: instrs[i].Key(), Fault: fmt.Sprintf("panic: %v", p)}}
 		}
 		if o.err != nil {
 			return nil, o.err
@@ -808,13 +796,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	emit(StageExecute, "", 0, len(tests))
 	var execDone atomic.Int64
 	execCtx, execCancel := stageCtx()
-	execFaults, execRan := runPool(execCtx, workers, len(tests), func(i int) {
+	execPanics, execRan := fanout.Run(execCtx, workers, len(tests), func(i int) {
 		defer func() {
 			emit(StageExecute, tests[i].id, int(execDone.Add(1)), len(tests))
 		}()
-		if cfg.testHookExec != nil {
-			cfg.testHookExec(tests[i].id)
-		}
 		// Injected worker crash, keyed by test ID (stable across runs and
 		// worker counts).
 		if err := faults.Hit(faults.CampaignExec, tests[i].id); err != nil {
@@ -869,8 +854,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		o := &outcomes[i]
 		if !execRan[i] {
 			o.fault = ReasonStageDeadline
-		} else if msg := execFaults[i]; msg != "" {
-			o.fault = msg
+		} else if p := execPanics[i]; p != nil {
+			o.fault = fmt.Sprintf("panic: %v", p)
 		}
 		if o.putErr != nil {
 			res.Degraded.CorpusWrites++
@@ -1009,10 +994,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if hseed == 0 {
 			hseed = cfg.Seed
 		}
-		hworkers := cfg.Hybrid.MutatorWorkers
-		if hworkers == 0 {
-			hworkers = workers
-		}
 		fk := corpus.FuzzInputKey{
 			SeedsSHA: hybrid.SeedsSHA(boot, seeds),
 			Budget:   cfg.Hybrid.Budget, Seed: hseed,
@@ -1034,7 +1015,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if hres == nil {
 			var err error
 			hres, err = hybrid.Run(ctx, hybrid.Config{
-				Budget: cfg.Hybrid.Budget, Seed: hseed, Workers: hworkers,
+				Budget: cfg.Hybrid.Budget, Seed: hseed, Workers: workers,
 				MaxSteps: testBudget.MaxSteps, Image: image, Boot: boot,
 				Explorer: buildExplorer, Instrs: instrs,
 			}, seeds)
@@ -1057,7 +1038,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		res.HybridStats = hres.Stats
 		res.HybridDivs = hres.Divergences
 		// Skipped mutation jobs spent budget without producing a candidate
-		// (injected faults, chaos runs): ledger them like any other loss.
+		// (injected faults, chaos runs, crashed trios): ledger them like any
+		// other loss.
 		if n := hres.Stats.Skipped; n > 0 {
 			res.Degraded.HybridExecs = n
 			for i := 0; i < n; i++ {

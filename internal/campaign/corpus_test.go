@@ -2,8 +2,9 @@ package campaign
 
 import (
 	"strings"
-	"sync"
 	"testing"
+
+	"pokeemu/internal/faults"
 )
 
 // smallConfig is a fast two-handler campaign used by the corpus and
@@ -123,13 +124,12 @@ func TestResumeCachesExecution(t *testing.T) {
 // not the campaign: the other instructions still produce tests, and the
 // fault appears deterministically in the summary.
 func TestPanicIsolation(t *testing.T) {
+	if _, err := faults.ArmSpec("campaign.explore:key=push_r:panic=injected explorer crash"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faults.Disarm)
 	cfg := smallConfig()
 	cfg.Workers = 4
-	cfg.testHookInstr = func(key string) {
-		if key == "push_r" {
-			panic("injected explorer crash")
-		}
-	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,19 +153,13 @@ func TestPanicIsolation(t *testing.T) {
 // TestExecPanicIsolation checks the same for the execution stage: a test
 // whose worker panics is excluded from diffing but the campaign completes.
 func TestExecPanicIsolation(t *testing.T) {
+	// Exactly one victim: the first execution to reach the fault point.
+	if _, err := faults.ArmSpec("campaign.exec:n=1:panic=injected executor crash"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faults.Disarm)
 	cfg := smallConfig()
 	cfg.Workers = 4
-	var mu sync.Mutex
-	crashed := false
-	cfg.testHookExec = func(id string) {
-		mu.Lock()
-		mine := !crashed
-		crashed = true
-		mu.Unlock()
-		if mine { // exactly one victim; any test will do
-			panic("injected executor crash")
-		}
-	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -59,13 +59,13 @@ func TestHybridSummaryGolden(t *testing.T) {
 }
 
 // TestHybridSummaryDeterministic pins worker-count independence end to end:
-// Workers/MutatorWorkers 1 vs 8 must render byte-identical reports.
+// Workers 1 vs 8 (the hybrid stage's pool included) must render
+// byte-identical reports.
 func TestHybridSummaryDeterministic(t *testing.T) {
 	var sums [2]string
 	for i, workers := range []int{1, 8} {
 		cfg := hybridGoldenConfig()
 		cfg.Workers = workers
-		cfg.Hybrid.MutatorWorkers = workers
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -110,9 +110,5 @@ func TestHybridValidate(t *testing.T) {
 	cfg := Config{Hybrid: HybridConfig{Budget: -1}}
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative hybrid budget accepted")
-	}
-	cfg = Config{Hybrid: HybridConfig{MutatorWorkers: -1}}
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative mutator workers accepted")
 	}
 }

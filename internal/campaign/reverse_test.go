@@ -55,8 +55,8 @@ func TestReverseLifting(t *testing.T) {
 			continue
 		}
 		ran++
-		fi := harness.RunBoot(fiF, ex.Image(), boot, p.Code, 0)
-		hw := harness.RunBoot(hwF, ex.Image(), boot, p.Code, 0)
+		fi := harness.RunBootBudget(fiF, ex.Image(), boot, p.Code, harness.Budget{})
+		hw := harness.RunBootBudget(hwF, ex.Image(), boot, p.Code, harness.Budget{})
 		ds := diff.Compare(hw.Snapshot, fi.Snapshot, diff.UndefFilterFor(tc.Handler))
 		if len(ds) == 0 {
 			continue
@@ -104,8 +104,8 @@ func TestForwardAndReverseAgreeOnDefinedBehavior(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			fi := harness.RunBoot(harness.FidelisFactory(), ex.Image(), boot, p.Code, 0)
-			hw := harness.RunBoot(harness.HardwareFactory(), ex.Image(), boot, p.Code, 0)
+			fi := harness.RunBootBudget(harness.FidelisFactory(), ex.Image(), boot, p.Code, harness.Budget{})
+			hw := harness.RunBootBudget(harness.HardwareFactory(), ex.Image(), boot, p.Code, harness.Budget{})
 			ds := diff.Compare(hw.Snapshot, fi.Snapshot, diff.UndefFilterFor(tc.Handler))
 			if len(ds) != 0 {
 				t.Errorf("defined instruction differs on a lifted test: %v", ds)

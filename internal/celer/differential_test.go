@@ -67,9 +67,9 @@ func TestCelerFastSlowDifferential(t *testing.T) {
 	for _, u := range uniq {
 		prog := append(append([]byte{}, pre...), u.Repr...)
 		prog = append(prog, x86.AsmHlt()...)
-		rs := harness.Run(slow, nil, prog, 256)
+		rs := harness.RunBootBudget(slow, nil, nil, prog, harness.Budget{MaxSteps: 256})
 		for _, fast := range fasts {
-			rf := harness.Run(fast.f, nil, prog, 256)
+			rf := harness.RunBootBudget(fast.f, nil, nil, prog, harness.Budget{MaxSteps: 256})
 			if !reflect.DeepEqual(rf.Events, rs.Events) {
 				t.Errorf("%s (% x), %s guest: event streams differ: fast %v, slow %v",
 					u.Key(), u.Repr, fast.name, rf.Events, rs.Events)

@@ -530,7 +530,7 @@ type TriageEntry struct {
 // change the stage's deterministic result participates: the seed test set
 // (content hash), the fuzzer budget and RNG seed, the execution and reseed
 // caps, the semantics configuration, and the coverage-map and fuzzer
-// version numbers. MutatorWorkers deliberately does not participate — the
+// version numbers. The worker count deliberately does not participate — the
 // result is worker-count-independent by contract.
 type FuzzInputKey struct {
 	SeedsSHA    string `json:"seeds_sha"` // sha256 over every seed program

@@ -26,18 +26,19 @@
 package equivcheck
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pokeemu/internal/core"
 	"pokeemu/internal/corpus"
 	"pokeemu/internal/diff"
 	"pokeemu/internal/expr"
+	"pokeemu/internal/fanout"
 	"pokeemu/internal/harness"
 	"pokeemu/internal/ir"
 	"pokeemu/internal/machine"
@@ -255,9 +256,6 @@ func Run(opts Options) (*Report, error) {
 	if opts.MaxConflicts == 0 {
 		opts.MaxConflicts = DefaultMaxConflicts
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
 	us, err := resolveHandlers(opts.Handlers)
 	if err != nil {
 		return nil, err
@@ -266,49 +264,30 @@ func Run(opts Options) (*Report, error) {
 	start := time.Now()
 	env := &checkEnv{image: machine.BaselineImage(), boot: testgen.BaselineInit()}
 	results := make([]*HandlerVerdict, len(us))
-	var next int64 = -1
-	var cacheHits, cacheMisses int64
-	var wg sync.WaitGroup
-	workers := opts.Workers
-	if workers > len(us) {
-		workers = len(us)
+	panics, _ := fanout.Run(context.Background(), opts.Workers, len(us), func(i int) {
+		results[i] = checkHandler(us[i], &opts, env)
+	})
+	for _, p := range panics {
+		if p != nil {
+			// A crashed check fails loudly rather than yield a nil verdict;
+			// the first in index order is the same for any worker count.
+			panic(p)
+		}
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(us) {
-					return
-				}
-				v := checkHandler(us[i], &opts, env)
-				if v.Cached {
-					atomic.AddInt64(&cacheHits, 1)
-				} else {
-					atomic.AddInt64(&cacheMisses, 1)
-				}
-				results[i] = v
-			}
-		}()
-	}
-	wg.Wait()
 
 	rep := &Report{
 		Config:   ConfigLabel,
 		PathCap:  opts.MaxPaths,
 		Budget:   opts.Budget,
 		Handlers: results,
-		Timing: &Timing{
-			Wall:        time.Since(start),
-			CacheHits:   int(cacheHits),
-			CacheMisses: int(cacheMisses),
-		},
+		Timing:   &Timing{Wall: time.Since(start)},
 	}
 	for _, v := range results {
+		if v.Cached {
+			rep.Timing.CacheHits++
+		} else {
+			rep.Timing.CacheMisses++
+		}
 		switch v.Verdict {
 		case VerdictEquiv:
 			rep.Equiv++

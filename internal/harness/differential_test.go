@@ -282,7 +282,7 @@ func TestThreeWayAgreementOnBenignPrograms(t *testing.T) {
 	clearPTE(image, 0x00350000) // for the pf-read program
 	factories := []Factory{FidelisFactory(), CelerFactory(), HardwareFactory()}
 	for name, prog := range agreementPrograms() {
-		results := RunAll(factories, image, prog, 0)
+		results := runAll(factories, image, prog, 0)
 		filter := diff.Filter{EFLAGSMask: x86.StatusFlags} // benign battery:
 		// flag-precision is compared separately below; here we check
 		// architecture state, memory, and exceptions.
@@ -320,7 +320,7 @@ func TestDefinedFlagsAgree(t *testing.T) {
 			[]byte{0xf7, 0xf1}, hlt)},
 	}
 	for _, c := range cases {
-		results := RunAll(factories, image, c.prog, 0)
+		results := runAll(factories, image, c.prog, 0)
 		filter := diff.UndefFilterFor(c.handler)
 		for i := 1; i < len(results); i++ {
 			ds := diff.Compare(results[0].Snapshot, results[i].Snapshot, filter)
@@ -354,9 +354,9 @@ func TestCelerMissesSegmentLimit(t *testing.T) {
 		x86.AsmMovRegMem32(x86.EBX, 0x300000), // beyond the 64 KiB limit
 		hlt,
 	)
-	fi := Run(FidelisFactory(), image, prog, 0)
-	hw := Run(HardwareFactory(), image, prog, 0)
-	ce := Run(CelerFactory(), image, prog, 0)
+	fi := run(FidelisFactory(), image, prog, 0)
+	hw := run(HardwareFactory(), image, prog, 0)
+	ce := run(CelerFactory(), image, prog, 0)
 	if fi.Snapshot.Exception == nil || fi.Snapshot.Exception.Vector != x86.ExcGP {
 		t.Fatalf("fidelis should #GP, got %v", fi.Snapshot.Exception)
 	}
@@ -376,8 +376,8 @@ func TestCelerLeaveNotAtomic(t *testing.T) {
 		[]byte{0xc9}, // leave → #PF on the read
 		hlt,
 	)
-	fi := Run(FidelisFactory(), image, prog, 0)
-	ce := Run(CelerFactory(), image, prog, 0)
+	fi := run(FidelisFactory(), image, prog, 0)
+	ce := run(CelerFactory(), image, prog, 0)
 	// Both fault; fidelis leaves ESP at the delivery-adjusted baseline,
 	// celer has clobbered ESP with EBP before faulting.
 	fiESP := fi.Snapshot.CPU.GPR[x86.ESP]
@@ -413,8 +413,8 @@ func TestCelerCmpxchgNotAtomic(t *testing.T) {
 		[]byte{0x0f, 0xb1, 0x0d, 0x00, 0x00, 0x35, 0x00}, // cmpxchg %ecx, mem
 		hlt,
 	)
-	fi := Run(FidelisFactory(), image, test, 0)
-	ce := Run(CelerFactory(), image, test, 0)
+	fi := run(FidelisFactory(), image, test, 0)
+	ce := run(CelerFactory(), image, test, 0)
 	if fi.Snapshot.Exception == nil || ce.Snapshot.Exception == nil {
 		t.Fatalf("both should #PF: fi=%v ce=%v",
 			fi.Snapshot.Exception, ce.Snapshot.Exception)
@@ -444,9 +444,9 @@ func TestCelerIretPopOrder(t *testing.T) {
 		[]byte{0xcf}, // iret
 		hlt,
 	)
-	fi := Run(FidelisFactory(), image, prog, 0)
-	ce := Run(CelerFactory(), image, prog, 0)
-	hw := Run(HardwareFactory(), image, prog, 0)
+	fi := run(FidelisFactory(), image, prog, 0)
+	ce := run(CelerFactory(), image, prog, 0)
+	hw := run(HardwareFactory(), image, prog, 0)
 	// CR2 ends up reflecting the delivery fault (the exception frame lands
 	// on the same missing page), so the observable signal is the accessed
 	// bit of the EFLAGS page: only celer touches it before faulting.
@@ -468,8 +468,8 @@ func TestCelerRdmsrNoGP(t *testing.T) {
 		[]byte{0x0f, 0x32},
 		hlt,
 	)
-	fi := Run(FidelisFactory(), image, prog, 0)
-	ce := Run(CelerFactory(), image, prog, 0)
+	fi := run(FidelisFactory(), image, prog, 0)
+	ce := run(CelerFactory(), image, prog, 0)
 	if fi.Snapshot.Exception == nil || fi.Snapshot.Exception.Vector != x86.ExcGP {
 		t.Errorf("fidelis should #GP, got %v", fi.Snapshot.Exception)
 	}
@@ -489,8 +489,8 @@ func TestCelerAccessedBitNotSet(t *testing.T) {
 		x86.AsmMovSregReg(x86.GS, x86.EAX),
 		hlt,
 	)
-	fi := Run(FidelisFactory(), image, prog, 0)
-	ce := Run(CelerFactory(), image, prog, 0)
+	fi := run(FidelisFactory(), image, prog, 0)
+	ce := run(CelerFactory(), image, prog, 0)
 	descHi := func(r *Result) uint64 {
 		return r.Snapshot.Mem.Read(machine.GDTBase+12*8+4, 4)
 	}
@@ -505,8 +505,8 @@ func TestCelerAccessedBitNotSet(t *testing.T) {
 func TestCelerEncodingAcceptance(t *testing.T) {
 	image := machine.BaselineImage()
 	alias := cat([]byte{0x82, 0xc0, 0x01}, hlt) // 0x80 alias
-	fi := Run(FidelisFactory(), image, alias, 0)
-	ce := Run(CelerFactory(), image, alias, 0)
+	fi := run(FidelisFactory(), image, alias, 0)
+	ce := run(CelerFactory(), image, alias, 0)
 	if fi.Snapshot.Exception != nil {
 		t.Errorf("fidelis should accept 0x82, got %v", fi.Snapshot.Exception)
 	}
@@ -515,8 +515,8 @@ func TestCelerEncodingAcceptance(t *testing.T) {
 	}
 	// grp2 /6: references #UD, celer executes it as shl.
 	slot6 := cat(x86.AsmMovRegImm32(x86.EAX, 1), []byte{0xc1, 0xf0, 0x03}, hlt)
-	fi = Run(FidelisFactory(), image, slot6, 0)
-	ce = Run(CelerFactory(), image, slot6, 0)
+	fi = run(FidelisFactory(), image, slot6, 0)
+	ce = run(CelerFactory(), image, slot6, 0)
 	if fi.Snapshot.Exception == nil || fi.Snapshot.Exception.Vector != x86.ExcUD {
 		t.Errorf("fidelis should reject grp2 /6, got %v", fi.Snapshot.Exception)
 	}
@@ -540,8 +540,8 @@ func TestFidelisLfsFetchOrderQuirk(t *testing.T) {
 		[]byte{0x0f, 0xb4, 0x1d, 0xfc, 0x1f, 0x35, 0x00}, // lfs mem, %ebx
 		hlt,
 	)
-	fi := Run(FidelisFactory(), image, prog, 0)
-	hw := Run(HardwareFactory(), image, prog, 0)
+	fi := run(FidelisFactory(), image, prog, 0)
+	hw := run(HardwareFactory(), image, prog, 0)
 	pteLower := func(r *Result) uint64 {
 		return r.Snapshot.Mem.Read(machine.PTBase+(0x00351000>>12)*4, 4)
 	}
@@ -587,7 +587,7 @@ func TestVerrVerwAgreeAcrossImplementations(t *testing.T) {
 			hlt,
 		)
 		for _, f := range factories {
-			r := Run(f, image, prog, 0)
+			r := run(f, image, prog, 0)
 			if r.Snapshot.Exception != nil {
 				t.Fatalf("%s/%s: raised %v", c.name, r.Impl, r.Snapshot.Exception)
 			}

@@ -124,25 +124,15 @@ func ByName(name string) (Factory, bool) {
 	return Factory{}, false
 }
 
-// Run executes a test the way the paper does (Figure 4): boot the guest
-// from the shared image, run the fixed baseline state initializer as guest
-// code, then the test program; interception of exceptions and halts is
-// enabled only once the baseline initialization has completed, and the
-// final CPU + memory state is snapshotted at the terminal event.
+// RunBootBudget executes a test the way the paper does (Figure 4): boot
+// the guest from the shared image, run the fixed baseline state initializer
+// as guest code, then the test program; interception of exceptions and
+// halts is enabled only once the baseline initialization has completed, and
+// the final CPU + memory state is snapshotted at the terminal event. The
+// budget holds the campaign's per-test step and wall-time caps.
 //
 // bootCode is the baseline initializer (testgen.BaselineInit()); pass nil
 // to start directly in the baseline state (used by unit tests).
-func Run(f Factory, image *machine.Memory, program []byte, maxSteps int) *Result {
-	return RunBoot(f, image, nil, program, maxSteps)
-}
-
-// RunBoot is Run with an explicit baseline initializer.
-func RunBoot(f Factory, image *machine.Memory, bootCode, program []byte, maxSteps int) *Result {
-	return RunBootBudget(f, image, bootCode, program, Budget{MaxSteps: maxSteps})
-}
-
-// RunBootBudget is RunBoot under an explicit execution budget (the
-// campaign's per-test step and wall-time caps).
 func RunBootBudget(f Factory, image *machine.Memory, bootCode, program []byte, budget Budget) *Result {
 	maxSteps := budget.MaxSteps
 	if maxSteps == 0 {
@@ -192,23 +182,4 @@ func RunBootBudget(f Factory, image *machine.Memory, bootCode, program []byte, b
 	}
 	res.Snapshot = m.Snapshot(lastExc)
 	return res
-}
-
-// RunAll executes the program on every implementation.
-func RunAll(factories []Factory, image *machine.Memory, program []byte, maxSteps int) []*Result {
-	out := make([]*Result, len(factories))
-	for i, f := range factories {
-		out[i] = Run(f, image, program, maxSteps)
-	}
-	return out
-}
-
-// RunAllBoot executes a bootable test (baseline initializer + program) on
-// every implementation.
-func RunAllBoot(factories []Factory, image *machine.Memory, bootCode, program []byte, maxSteps int) []*Result {
-	out := make([]*Result, len(factories))
-	for i, f := range factories {
-		out[i] = RunBoot(f, image, bootCode, program, maxSteps)
-	}
-	return out
 }

@@ -10,6 +10,21 @@ import (
 	"pokeemu/internal/x86"
 )
 
+// run executes a program from the baseline state (no initializer) under a
+// step cap, the form most unit tests here need.
+func run(f Factory, image *machine.Memory, program []byte, maxSteps int) *Result {
+	return RunBootBudget(f, image, nil, program, Budget{MaxSteps: maxSteps})
+}
+
+// runAll executes the program from the baseline state on every factory.
+func runAll(factories []Factory, image *machine.Memory, program []byte, maxSteps int) []*Result {
+	out := make([]*Result, len(factories))
+	for i, f := range factories {
+		out[i] = run(f, image, program, maxSteps)
+	}
+	return out
+}
+
 // TestFigure4Timeline verifies the execution structure of the paper's
 // Figure 4: bootstrap → baseline initializer → test program, with event
 // interception enabled only after the baseline init completes and the
@@ -20,7 +35,7 @@ func TestFigure4Timeline(t *testing.T) {
 	prog := append(x86.AsmMovRegImm32(x86.EAX, 42), x86.AsmHlt()...)
 
 	for _, f := range []Factory{FidelisFactory(), CelerFactory(), HardwareFactory()} {
-		res := RunBoot(f, image, boot, prog, 0)
+		res := RunBootBudget(f, image, boot, prog, Budget{})
 		if res.BaselineFault {
 			t.Fatalf("%s: baseline init faulted", res.Impl)
 		}
@@ -44,7 +59,7 @@ func TestFigure4Timeline(t *testing.T) {
 func TestRunWithoutBootStartsAtBaseline(t *testing.T) {
 	image := machine.BaselineImage()
 	prog := append(x86.AsmMovRegImm32(x86.EBX, 7), x86.AsmHlt()...)
-	res := Run(FidelisFactory(), image, prog, 0)
+	res := run(FidelisFactory(), image, prog, 0)
 	if res.Snapshot.CPU.GPR[x86.EBX] != 7 {
 		t.Error("program did not run")
 	}
@@ -56,7 +71,7 @@ func TestExceptionDuringTestIsRecorded(t *testing.T) {
 	image := machine.BaselineImage()
 	boot := testgen.BaselineInit()
 	prog := append([]byte{0xf7, 0xf1}, x86.AsmHlt()...) // div %ecx with ecx=0 → #DE
-	res := RunBoot(CelerFactory(), image, boot, prog, 0)
+	res := RunBootBudget(CelerFactory(), image, boot, prog, Budget{})
 	if res.Snapshot.Exception == nil || res.Snapshot.Exception.Vector != x86.ExcDE {
 		t.Errorf("snapshot exception = %v, want #DE", res.Snapshot.Exception)
 	}
@@ -66,7 +81,7 @@ func TestExceptionDuringTestIsRecorded(t *testing.T) {
 func TestMaxStepsTerminates(t *testing.T) {
 	image := machine.BaselineImage()
 	prog := []byte{0xeb, 0xfe} // jmp self
-	res := Run(FidelisFactory(), image, prog, 50)
+	res := run(FidelisFactory(), image, prog, 50)
 	if res.Steps != 50 {
 		t.Errorf("steps = %d, want the cap", res.Steps)
 	}
@@ -107,10 +122,10 @@ func TestGuestsAreIsolated(t *testing.T) {
 		if !ok {
 			t.Fatalf("ByName(%q) not found", name)
 		}
-		if got := Run(f, nil, dirty, 100).Snapshot.CPU.GPR[x86.EAX]; got != 0xdead {
+		if got := run(f, nil, dirty, 100).Snapshot.CPU.GPR[x86.EAX]; got != 0xdead {
 			t.Fatalf("%s: dirtying test read back %#x, want 0xdead", name, got)
 		}
-		if got := Run(f, nil, probe, 100).Snapshot.CPU.GPR[x86.EAX]; got != 0 {
+		if got := run(f, nil, probe, 100).Snapshot.CPU.GPR[x86.EAX]; got != 0 {
 			t.Errorf("%s: next guest read %#x at %#x, want 0 (state leaked across runs)", name, got, addr)
 		}
 	}

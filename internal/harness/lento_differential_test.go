@@ -44,8 +44,8 @@ func TestLentoDifferential(t *testing.T) {
 	for _, u := range uniq {
 		prog := append(append([]byte{}, pre...), u.Repr...)
 		prog = append(prog, x86.AsmHlt()...)
-		rl := Run(lf, nil, prog, 256)
-		rf := Run(ff, nil, prog, 256)
+		rl := run(lf, nil, prog, 256)
+		rf := run(ff, nil, prog, 256)
 		if !reflect.DeepEqual(rl.Events, rf.Events) {
 			t.Errorf("%s (% x): event streams differ: lento %v, fidelis %v",
 				u.Key(), u.Repr, rl.Events, rf.Events)

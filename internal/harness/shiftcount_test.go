@@ -45,7 +45,7 @@ func TestShiftCountAtAndBeyondWidth(t *testing.T) {
 			c.shift,
 			hlt,
 		)
-		results := RunAll(factories, image, prog, 0)
+		results := runAll(factories, image, prog, 0)
 		filter := diff.UndefFilterFor(c.handler)
 		for i := 1; i < len(results); i++ {
 			ds := diff.Compare(results[0].Snapshot, results[i].Snapshot, filter)

@@ -24,12 +24,12 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"pokeemu/internal/core"
 	"pokeemu/internal/coverage"
 	"pokeemu/internal/diff"
 	"pokeemu/internal/emu"
+	"pokeemu/internal/fanout"
 	"pokeemu/internal/faults"
 	"pokeemu/internal/fidelis"
 	"pokeemu/internal/harness"
@@ -127,7 +127,7 @@ type Stats struct {
 	Seeds          int `json:"seeds"`
 	SeedSignatures int `json:"seed_signatures"` // distinct sigs among seeds (the pure-symex yield)
 	Execs          int `json:"execs"`           // mutated executions spent
-	Skipped        int `json:"skipped"`         // mutation jobs skipped (injected faults)
+	Skipped        int `json:"skipped"`         // jobs whose mutation or trio did not complete
 	Deduped        int `json:"deduped"`         // candidates dropped by signature
 	NewCoverage    int `json:"new_coverage"`    // admitted inputs with new (edge,bucket) bits
 	Divergent      int `json:"divergent"`       // admitted mutated inputs that diverged
@@ -308,7 +308,7 @@ func (f *fuzzer) admit(in *Input, hits []coverage.Hit) {
 func (f *fuzzer) evalSeeds(ctx context.Context, seeds []Seed) {
 	f.res.Stats.Seeds = len(seeds)
 	covs := make([]*covRecord, len(seeds))
-	runPool(ctx, f.cfg.Workers, len(seeds), func(i int) {
+	fanout.Run(ctx, f.cfg.Workers, len(seeds), func(i int) {
 		covs[i], _ = f.coverRun(seeds[i].Prog)
 	})
 	seen := make(map[uint64]bool)
@@ -363,7 +363,7 @@ func (f *fuzzer) runRound(ctx context.Context, round, n int) {
 	}
 
 	cands := make([]*candidate, n)
-	runPool(ctx, f.cfg.Workers, n, func(j int) {
+	fanout.Run(ctx, f.cfg.Workers, n, func(j int) {
 		c := &candidate{skipped: true}
 		cands[j] = c
 		if err := faults.Hit(faults.HybridMutate, fmt.Sprintf("r%d#%d", round, j)); err != nil {
@@ -403,10 +403,18 @@ func (f *fuzzer) runRound(ctx context.Context, round, n int) {
 	}
 
 	divs := make([][]Divergence, len(novel))
-	runPool(ctx, f.cfg.Workers, len(novel), func(i int) {
+	panics, ran := fanout.Run(ctx, f.cfg.Workers, len(novel), func(i int) {
 		divs[i] = f.trio(ids[i], novel[i])
 	})
 	for i, c := range novel {
+		if !ran[i] || panics[i] != nil {
+			// The comparison never completed: a skipped job, not a clean
+			// result. Release the reserved signature so a later round can
+			// still admit it.
+			f.res.Stats.Skipped++
+			delete(f.sigs, c.sig)
+			continue
+		}
 		in := &Input{
 			ID: ids[i], Parent: c.parent.ID, Op: c.op,
 			Handler: c.handler, Mnemonic: c.mnemonic,
@@ -590,39 +598,4 @@ func (f *fuzzer) replayToTest(prog []byte, testOff int) *machine.Machine {
 		}
 	}
 	return nil
-}
-
-// runPool executes task(0..n-1) on an index-sliced worker pool: each index
-// runs exactly once, panics are contained to their slot, and cancellation
-// stops new pulls. Merging stays with the caller, in index order — the
-// same contract as the campaign's pool.
-func runPool(ctx context.Context, workers, n int, task func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				func() {
-					defer func() { recover() }() // a crashed slot reads as skipped
-					task(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -5,11 +5,12 @@ import (
 	"encoding/json"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"pokeemu/internal/core"
+	"pokeemu/internal/emu"
 	"pokeemu/internal/faults"
+	"pokeemu/internal/harness"
 	"pokeemu/internal/machine"
 	"pokeemu/internal/symex"
 	"pokeemu/internal/testgen"
@@ -324,20 +325,61 @@ func TestJobSeed(t *testing.T) {
 	}
 }
 
-func TestRunPool(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		var hits [10]atomic.Int32
-		runPool(context.Background(), workers, len(hits), func(i int) {
-			hits[i].Add(1)
-			if i == 4 {
-				panic("boom") // must stay contained to this slot
-			}
-		})
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Errorf("workers=%d: index %d ran %d times", workers, i, hits[i].Load())
-			}
+// TestTrioCrashSkips: a novel candidate whose differential trio panics is a
+// comparison that never ran. It counts as skipped and is not admitted,
+// never as a clean (non-divergent, possibly promising) input; every other
+// input of the round is unaffected.
+func TestTrioCrashSkips(t *testing.T) {
+	fixture(t)
+	round := func(celer *harness.Factory) *fuzzer {
+		f := newFuzzer(baseConfig(4))
+		if celer != nil {
+			f.celer = *celer
+		}
+		f.evalSeeds(context.Background(), fix.seeds)
+		f.runRound(context.Background(), 0, 32)
+		return f
+	}
+	clean := round(nil)
+	var victim *Input
+	for _, in := range clean.res.Inputs {
+		if in.Op != "" {
+			victim = in
+			break
 		}
 	}
-	runPool(context.Background(), 2, 0, func(int) { t.Error("n=0 must not run tasks") })
+	if victim == nil {
+		t.Fatal("clean round admitted no mutant")
+	}
+
+	inner := harness.CelerFactory()
+	crashy := harness.Factory{Name: "celer", New: func(m *machine.Machine) emu.Emulator {
+		for i, b := range victim.Prog {
+			if m.Mem.Read8(machine.CodeBase+uint32(i)) != b {
+				return inner.New(m)
+			}
+		}
+		panic("injected celer crash")
+	}}
+	f := round(&crashy)
+
+	var want, got []string
+	for _, in := range clean.res.Inputs {
+		if in.ID != victim.ID {
+			want = append(want, in.ID)
+		}
+	}
+	for _, in := range f.res.Inputs {
+		got = append(got, in.ID)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("admitted inputs = %v, want the clean round's minus %s: %v", got, victim.ID, want)
+	}
+	if f.res.Stats.Skipped != clean.res.Stats.Skipped+1 {
+		t.Errorf("Skipped = %d, want %d (the crashed trio counted once)",
+			f.res.Stats.Skipped, clean.res.Stats.Skipped+1)
+	}
+	if f.sigs[victim.Sig] {
+		t.Error("the crashed candidate's signature stays reserved")
+	}
 }

@@ -151,7 +151,7 @@ func FuzzLentoVsEval(f *testing.F) {
 			x86.AsmMovRegImm32(x86.ECX, b),
 			op.asm(w),
 		)
-		r := harness.Run(harness.LentoFactory(), nil, p, 32)
+		r := harness.RunBootBudget(harness.LentoFactory(), nil, nil, p, harness.Budget{MaxSteps: 32})
 		if v := lastVector(r); v != -1 {
 			t.Fatalf("%s w=%d a=%#x b=%#x: unexpected fault #%d", op.name, w, a, b, v)
 		}

@@ -29,8 +29,8 @@ var uniqueInstrs = sync.OnceValue(func() []*core.UniqueInstr {
 // callers can assert what actually happened (fault vectors, halts).
 func runBoth(t *testing.T, name string, image *machine.Memory, prog []byte, maxSteps int) *harness.Result {
 	t.Helper()
-	rl := harness.Run(harness.LentoFactory(), image, prog, maxSteps)
-	rf := harness.Run(harness.FidelisFactory(), image, prog, maxSteps)
+	rl := harness.RunBootBudget(harness.LentoFactory(), image, nil, prog, harness.Budget{MaxSteps: maxSteps})
+	rf := harness.RunBootBudget(harness.FidelisFactory(), image, nil, prog, harness.Budget{MaxSteps: maxSteps})
 	if !reflect.DeepEqual(rl.Events, rf.Events) {
 		t.Errorf("%s: event streams differ:\n  lento:   %v\n  fidelis: %v", name, rl.Events, rf.Events)
 	}
@@ -92,8 +92,8 @@ func sweep(t *testing.T, regs map[x86.Reg]uint32, flags uint32) {
 	for _, u := range uniqueInstrs() {
 		p := append(append([]byte{}, pre...), u.Repr...)
 		p = append(p, x86.AsmHlt()...)
-		rl := harness.Run(lf, nil, p, 256)
-		rf := harness.Run(ff, nil, p, 256)
+		rl := harness.RunBootBudget(lf, nil, nil, p, harness.Budget{MaxSteps: 256})
+		rf := harness.RunBootBudget(ff, nil, nil, p, harness.Budget{MaxSteps: 256})
 		if !reflect.DeepEqual(rl.Events, rf.Events) || rl.Steps != rf.Steps ||
 			!reflect.DeepEqual(rl.Snapshot, rf.Snapshot) {
 			t.Errorf("%s (% x): lento and fidelis diverge", u.Key(), u.Repr)
@@ -524,7 +524,7 @@ func TestRepTimeout(t *testing.T) {
 		x86.AsmMovRegImm32(x86.ECX, 0x500000), // > repBudget (1<<22)
 		[]byte{0xf3, 0xac},                    // rep lodsb (reads only: page tables survive)
 	)
-	r := harness.Run(harness.LentoFactory(), nil, p, 64)
+	r := harness.RunBootBudget(harness.LentoFactory(), nil, nil, p, harness.Budget{MaxSteps: 64})
 	if len(r.Events) == 0 || r.Events[len(r.Events)-1].Kind != emu.EventTimeout {
 		t.Errorf("events %v, want terminal timeout", r.Events)
 	}

@@ -78,9 +78,9 @@ func Run(cfg Config) *Result {
 		prog = append(prog, inst.Raw...)
 		prog = append(prog, x86.AsmHlt()...)
 
-		fi := harness.RunBoot(fiF, image, boot, prog, 0)
-		ce := harness.RunBoot(ceF, image, boot, prog, 0)
-		hw := harness.RunBoot(hwF, image, boot, prog, 0)
+		fi := harness.RunBootBudget(fiF, image, boot, prog, harness.Budget{})
+		ce := harness.RunBootBudget(ceF, image, boot, prog, harness.Budget{})
+		hw := harness.RunBootBudget(hwF, image, boot, prog, harness.Budget{})
 		res.Executed++
 
 		filter := diff.UndefFilterFor(inst.Spec.Name)

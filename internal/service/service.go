@@ -224,9 +224,6 @@ type Request struct {
 	HybridBudget int `json:"hybrid_budget,omitempty"`
 	// HybridSeed seeds the fuzzer's RNG (0 = the campaign seed).
 	HybridSeed int64 `json:"hybrid_seed,omitempty"`
-	// HybridWorkers sizes the mutator pool (0 = workers); like workers it
-	// never affects the report.
-	HybridWorkers int `json:"hybrid_workers,omitempty"`
 
 	// Vote enables N-way voted verdicts: every test additionally runs on
 	// lento and the three emulators are partitioned per test, yielding the
@@ -257,9 +254,6 @@ func (s *Server) configFor(req *Request) (campaign.Config, error) {
 	if req.ExploreWorkers > s.opts.MaxWorkersPerJob {
 		req.ExploreWorkers = s.opts.MaxWorkersPerJob
 	}
-	if req.HybridWorkers > s.opts.MaxWorkersPerJob {
-		req.HybridWorkers = s.opts.MaxWorkersPerJob
-	}
 	cfg := campaign.Config{
 		MaxPathsPerInstr: req.PathCap,
 		MaxInstrs:        req.MaxInstrs,
@@ -278,11 +272,7 @@ func (s *Server) configFor(req *Request) (campaign.Config, error) {
 		// The job captures the baseline current at submission; a later PUT
 		// replaces the server's pointer without disturbing running jobs.
 		Baseline: s.Baseline(),
-		Hybrid: campaign.HybridConfig{
-			Budget:         req.HybridBudget,
-			Seed:           req.HybridSeed,
-			MutatorWorkers: req.HybridWorkers,
-		},
+		Hybrid:   campaign.HybridConfig{Budget: req.HybridBudget, Seed: req.HybridSeed},
 	}
 	if err := cfg.Validate(); err != nil {
 		return campaign.Config{}, err

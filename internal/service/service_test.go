@@ -379,8 +379,8 @@ func TestJobPanicDoesNotKillDaemon(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsRemovedFields: the solver and celer tuning fields are
-// gone from the request schema, and strict decoding turns a request that
+// TestSubmitRejectsRemovedFields: the solver and celer tuning fields and
+// the separate hybrid worker count are gone from the request schema, and strict decoding turns a request that
 // still sends one into a 400 naming the unknown field rather than a
 // silently different campaign.
 func TestSubmitRejectsRemovedFields(t *testing.T) {
@@ -396,6 +396,7 @@ func TestSubmitRejectsRemovedFields(t *testing.T) {
 		`{"handlers":["push_r"],"no_fastpath":true}`,
 		`{"handlers":["push_r"],"no_subsume":true}`,
 		`{"handlers":["push_r"],"no_reduce_db":true}`,
+		`{"handlers":["push_r"],"hybrid_workers":2}`,
 	} {
 		code, b := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns", body)
 		if code != http.StatusBadRequest || !bytes.Contains(b, []byte("unknown field")) {

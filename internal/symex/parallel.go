@@ -1,10 +1,10 @@
 package symex
 
 import (
+	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"pokeemu/internal/fanout"
 	"pokeemu/internal/faults"
 	"pokeemu/internal/ir"
 )
@@ -25,8 +25,8 @@ import (
 // queries or randomness: execution is deterministic given branch directions
 // because concretization pins are canonical (see pickConcrete).
 //
-// The merge is what makes the result worker-count-independent, mirroring
-// campaign/pool.go's contract: tasks write only into their own slots, and
+// The merge is what makes the result worker-count-independent, under the
+// internal/fanout contract: tasks write only into their own slots, and
 // the final path list is ordered by each path's full branch-direction
 // string. Direction strings are prefix-free across units, so this order is
 // total and scheduling-independent. The list is trimmed to MaxPaths and
@@ -164,39 +164,11 @@ func (en *Engine) Explore(prog *ir.Program, visit func(*PathResult)) {
 		for _, t := range open {
 			grants = append(grants, grant{t, len(subs[t].collected) + share})
 		}
-		workers := en.opts.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		if workers > len(grants) {
-			workers = len(grants)
-		}
-		panics := make([]any, len(grants))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(grants) {
-						return
-					}
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								panics[i] = r
-							}
-						}()
-						sub := subs[grants[i].task]
-						sub.opts.MaxPaths = grants[i].budget
-						sub.exploreSeq(prog)
-					}()
-				}
-			}()
-		}
-		wg.Wait()
+		panics, _ := fanout.Run(context.Background(), en.opts.Workers, len(grants), func(i int) {
+			sub := subs[grants[i].task]
+			sub.opts.MaxPaths = grants[i].budget
+			sub.exploreSeq(prog)
+		})
 		for _, p := range panics {
 			if p != nil {
 				// Re-panic the canonically first failure so the campaign's

@@ -1,14 +1,14 @@
 package triage
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"pokeemu/internal/corpus"
+	"pokeemu/internal/fanout"
 	"pokeemu/internal/harness"
 	"pokeemu/internal/testgen"
 )
@@ -146,7 +146,14 @@ func Run(cases []CaseInfo, opts Options) (*Report, error) {
 			}
 		}
 	}
-	runIndexed(opts.Workers, len(ordered), runCase)
+	panics, _ := fanout.Run(context.Background(), opts.Workers, len(ordered), runCase)
+	for _, p := range panics {
+		if p != nil {
+			// A crashed case fails loudly rather than yield an empty row;
+			// the first in index order is the same for any worker count.
+			panic(p)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -189,38 +196,6 @@ func Run(cases []CaseInfo, opts Options) (*Report, error) {
 		return r.Clusters[i].Signature < r.Clusters[j].Signature
 	})
 	return r, nil
-}
-
-// runIndexed executes n index-addressed tasks over a bounded worker pool.
-// Tasks write only to index-disjoint slots, making scheduling order
-// unobservable — the same contract as the campaign's pool, without its
-// panic isolation (triage tasks report errors through their slot).
-func runIndexed(workers, n int, task func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				task(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // SuggestedBaseline builds the baseline that would suppress every cluster

@@ -134,15 +134,6 @@ const (
 	ExcAC = 17 // alignment check
 )
 
-// ExcHasErrCode reports whether the CPU pushes an error code for vector v.
-func ExcHasErrCode(v uint8) bool {
-	switch v {
-	case ExcDF, ExcTS, ExcNP, ExcSS, ExcGP, ExcPF, ExcAC:
-		return true
-	}
-	return false
-}
-
 // Page-table entry bits (PDE and PTE share the low flag layout).
 const (
 	PteP   = 1 << 0
