@@ -11,7 +11,7 @@ SERVE_CORPUS ?= .pokeemud-corpus
 # Per-package statement-coverage floors enforced by `make cover`
 # (package:floor pairs; floors sit a few points under current coverage so
 # routine edits pass but a dropped test file fails).
-COVER_FLOORS ?= triage:85 diff:90 equivcheck:85 coverage:90 hybrid:85 lento:90 solver:90 celer:78 fanout:95
+COVER_FLOORS ?= triage:85 diff:90 equivcheck:85 coverage:90 hybrid:85 lento:90 solver:90 celer:78 fanout:95 corpus:74
 
 .PHONY: fmt build vet benchvet test race fuzz chaos cover bench bench-gate serve smoke equivcheck hybrid vote solvercheck check
 
@@ -39,7 +39,7 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# The thirteen native fuzz targets: the instruction decoder's structural
+# The fourteen native fuzz targets: the instruction decoder's structural
 # invariants, the expression simplifier's soundness, the minimizer's
 # incremental cone evaluation vs evaluation from scratch, the bit-blaster vs
 # evaluator semantics oracle, the SAT core's arena-compaction integrity and
@@ -48,8 +48,9 @@ race:
 # verdict vs concrete-differential oracle, the hybrid mutator's
 # atom-discipline/aliasing/determinism invariants, the lento interpreter vs
 # evaluator/bit-blaster ALU oracle, the snapshot decoder's hostile-input
-# and re-encode round-trip invariants, and page-granular memory access and
-# code fetch vs a byte-at-a-time reference.
+# and re-encode round-trip invariants, page-granular memory access and
+# code fetch vs a byte-at-a-time reference, and the corpus exec record
+# decoder's hostile-input and canonical round-trip invariants.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/x86
 	$(GO) test -fuzz=FuzzExprSimplify -fuzztime=$(FUZZTIME) ./internal/expr
@@ -64,6 +65,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLentoVsEval -fuzztime=$(FUZZTIME) ./internal/lento
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) ./internal/machine
 	$(GO) test -fuzz=FuzzMemoryAccess -fuzztime=$(FUZZTIME) ./internal/machine
+	$(GO) test -fuzz=FuzzDecodeExecEntry -fuzztime=$(FUZZTIME) ./internal/corpus
 
 # Chaos gate: the fault-injection matrix under the race detector, sweeping
 # a fixed seed range (CHAOS_SEEDS plans per fault mix). Every armed fault

@@ -432,24 +432,20 @@ type instrOut struct {
 	putErr error // corpus write failure for this instruction's entry
 }
 
-// trio is one test's execution outcome across the three implementations,
-// plus the optional lento voting leg.
+// trio is one test's outcome across the three implementations, plus the
+// optional lento voting leg, as the execute task leaves it: the task
+// compares the final states itself and keeps only the differences, so no
+// machine state outlives the task that produced or decoded it.
 type trio struct {
-	fi, ce, hw    *harness.Result
-	le            *harness.Result // lento leg, nil unless Config.Vote
-	tFi, tCe, tHw time.Duration
-	tLe           time.Duration
-	cached        bool
-	fault         string
-	putErr        error // corpus write failure for this test's exec entry
-	decodeFailed  bool  // cached entry present but undecodable; re-executed
-}
-
-func (t *trio) timedOut() bool {
-	if t.fi.TimedOut || t.ce.TimedOut || t.hw.TimedOut {
-		return true
-	}
-	return t.le != nil && t.le.TimedOut
+	tFi, tCe, tHw, tLe time.Duration
+	tCmp               time.Duration // diff.Compare and diff.Vote
+	cached             bool
+	timedOut           bool
+	fault              string
+	putErr             error            // corpus write failure for this test's exec entry
+	decodeFailed       bool             // cached entry present but undecodable; re-executed
+	lofi, hifi         []diff.FieldDiff // hardware vs celer, hardware vs fidelis
+	vote               *diff.Verdict    // nil unless Config.Vote
 }
 
 // Run executes a campaign.
@@ -792,6 +788,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// rather than replaying three-legged outcomes it cannot vote over.
 	execCache := cfg.Resume && !cfg.Vote
 
+	var dec *machine.Decoder
+	if crp != nil && execCache && !cfg.NoCache {
+		dec = machine.NewDecoder(image)
+	}
+
+	// Each execute task resolves its test's trio (from the corpus or by
+	// running it), compares the final states, and releases them: a decoded
+	// snapshot's pages go back to the decoder's pool for the next task.
 	outcomes := make([]trio, len(tests))
 	emit(StageExecute, "", 0, len(tests))
 	var execDone atomic.Int64
@@ -805,6 +809,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := faults.Hit(faults.CampaignExec, tests[i].id); err != nil {
 			panic(err)
 		}
+		o := &outcomes[i]
+		var fi, ce, hw, le *harness.Result
 		var ek corpus.ExecKey
 		if crp != nil && execCache {
 			ek = corpus.ExecKey{
@@ -812,38 +818,60 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				MaxSteps: testBudget.MaxSteps,
 				SnapVer:  machine.SnapVersion,
 			}
-			if !cfg.NoCache {
+			if dec != nil {
 				if ent, ok := crp.GetExec(ek); ok {
-					if tr, err := decodeExecEntry(ent, image); err == nil {
-						outcomes[i] = *tr
-						outcomes[i].cached = true
-						return
+					if rs, err := decodeExec(ent, dec); err == nil {
+						fi, ce, hw = rs[0], rs[1], rs[2]
+						o.cached = true
+					} else {
+						// Present but undecodable: fall through to a real
+						// execution, and count the corrupt entry.
+						o.decodeFailed = true
 					}
-					// Present but undecodable: fall through to a real
-					// execution, and count the corrupt entry.
-					outcomes[i].decodeFailed = true
 				}
 			}
 		}
-		t := time.Now()
-		outcomes[i].fi = harness.RunBootBudget(fiF, image, boot, tests[i].prog, testBudget)
-		outcomes[i].tFi = time.Since(t)
-		t = time.Now()
-		outcomes[i].ce = harness.RunBootBudget(ceF, image, boot, tests[i].prog, testBudget)
-		outcomes[i].tCe = time.Since(t)
-		t = time.Now()
-		outcomes[i].hw = harness.RunBootBudget(hwF, image, boot, tests[i].prog, testBudget)
-		outcomes[i].tHw = time.Since(t)
-		if cfg.Vote {
+		if !o.cached {
+			t := time.Now()
+			fi = harness.RunBootBudget(fiF, image, boot, tests[i].prog, testBudget)
+			o.tFi = time.Since(t)
 			t = time.Now()
-			outcomes[i].le = harness.RunBootBudget(leF, image, boot, tests[i].prog, testBudget)
-			outcomes[i].tLe = time.Since(t)
-		}
-		if crp != nil && execCache && !outcomes[i].timedOut() {
-			if ent, err := encodeExecEntry(ek, &outcomes[i], image); err == nil {
-				outcomes[i].putErr = crp.PutExec(ent)
+			ce = harness.RunBootBudget(ceF, image, boot, tests[i].prog, testBudget)
+			o.tCe = time.Since(t)
+			t = time.Now()
+			hw = harness.RunBootBudget(hwF, image, boot, tests[i].prog, testBudget)
+			o.tHw = time.Since(t)
+			if cfg.Vote {
+				t = time.Now()
+				le = harness.RunBootBudget(leF, image, boot, tests[i].prog, testBudget)
+				o.tLe = time.Since(t)
 			}
 		}
+		o.timedOut = fi.TimedOut || ce.TimedOut || hw.TimedOut || (le != nil && le.TimedOut)
+		if crp != nil && execCache && !o.cached && !o.timedOut {
+			if ent, err := encodeExec(ek, fi, ce, hw, image); err == nil {
+				o.putErr = crp.PutExec(ent)
+			}
+		}
+		if !o.timedOut {
+			t := time.Now()
+			filter := diff.UndefFilterFor(tests[i].handler)
+			o.lofi = diff.Compare(hw.Snapshot, ce.Snapshot, filter)
+			o.hifi = diff.Compare(hw.Snapshot, fi.Snapshot, filter)
+			// N-way vote over the three independent emulators. Hardware
+			// stays the pairwise oracle above; the vote turns
+			// emulator-vs-emulator divergences into blame assignments
+			// without any oracle at all.
+			if cfg.Vote {
+				o.vote = diff.Vote([]diff.VoteRun{
+					{Impl: "fidelis", Snap: fi.Snapshot},
+					{Impl: "celer", Snap: ce.Snapshot},
+					{Impl: "lento", Snap: le.Snapshot},
+				}, filter)
+			}
+			o.tCmp = time.Since(t)
+		}
+		releaseAll(fi, ce, hw, le)
 	})
 	execCancel()
 	if err := ctx.Err(); err != nil {
@@ -882,7 +910,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		} else {
 			res.Cache.ExecMisses++
 		}
-		if o.timedOut() {
+		if o.timedOut {
 			res.ExecTimeouts++
 			res.Faults = append(res.Faults, Fault{Stage: "execute", Key: tests[i].id,
 				Err: fmt.Sprintf("wall-clock budget %v exceeded", cfg.TestTimeout)})
@@ -891,7 +919,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Stage 4: difference analysis (sequential; inherently deterministic).
+	// Stage 4: difference analysis, recorded in test-index order from the
+	// comparisons the execute tasks made (so inherently deterministic).
 	// Every divergence also becomes a triage CaseInfo (identity + runnable
 	// program), and — with a baseline configured — is classified known/new.
 	emit(StageCompare, "", 0, 1)
@@ -927,27 +956,19 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("campaign: canceled during comparison: %w", ctx.Err())
 		}
 		o := &outcomes[i]
-		if o.fault != "" || o.timedOut() {
+		if o.fault != "" || o.timedOut {
 			continue
 		}
-		filter := diff.UndefFilterFor(tests[i].handler)
-		if ds := diff.Compare(o.hw.Snapshot, o.ce.Snapshot, filter); len(ds) > 0 {
+		res.Timing.Compare += o.tCmp
+		if len(o.lofi) > 0 {
 			res.LoFiDiffTests++
-			record(i, "celer", ds)
+			record(i, "celer", o.lofi)
 		}
-		if ds := diff.Compare(o.hw.Snapshot, o.fi.Snapshot, filter); len(ds) > 0 {
+		if len(o.hifi) > 0 {
 			res.HiFiDiffTests++
-			record(i, "fidelis", ds)
+			record(i, "fidelis", o.hifi)
 		}
-		// N-way vote over the three independent emulators. Hardware stays
-		// the pairwise oracle above; the vote turns emulator-vs-emulator
-		// divergences into blame assignments without any oracle at all.
-		if cfg.Vote {
-			v := diff.Vote([]diff.VoteRun{
-				{Impl: "fidelis", Snap: o.fi.Snapshot},
-				{Impl: "celer", Snap: o.ce.Snapshot},
-				{Impl: "lento", Snap: o.le.Snapshot},
-			}, filter)
+		if v := o.vote; v != nil {
 			switch v.Class {
 			case diff.VerdictAgree:
 				res.VoteAgree++
@@ -961,7 +982,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	res.Timing.Compare = time.Since(t1)
+	res.Timing.Compare += time.Since(t1)
 	emit(StageCompare, "", 1, 1)
 
 	// Stage 5 (optional): coverage-guided hybrid fuzzing, seeded with this
@@ -981,7 +1002,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		var seeds []hybrid.Seed
 		for i := range tests {
 			o := &outcomes[i]
-			if o.fault != "" || o.timedOut() {
+			if o.fault != "" || o.timedOut {
 				continue
 			}
 			seeds = append(seeds, hybrid.Seed{
@@ -1091,11 +1112,11 @@ func outFromEntry(ent *corpus.InstrEntry) instrOut {
 // implOrder is the serialization order of the execution trio.
 var implOrder = []string{"fidelis", "celer", "hardware"}
 
-// encodeExecEntry serializes a trio outcome relative to the shared baseline
-// image for the -resume cache.
-func encodeExecEntry(key corpus.ExecKey, o *trio, image *machine.Memory) (*corpus.ExecEntry, error) {
+// encodeExec serializes a trio's outcomes relative to the shared baseline
+// image for the -resume cache, in implOrder.
+func encodeExec(key corpus.ExecKey, fi, ce, hw *harness.Result, image *machine.Memory) (*corpus.ExecEntry, error) {
 	ent := &corpus.ExecEntry{Key: key}
-	for _, r := range []*harness.Result{o.fi, o.ce, o.hw} {
+	for _, r := range []*harness.Result{fi, ce, hw} {
 		var buf bytes.Buffer
 		if err := r.Snapshot.WriteTo(&buf, image); err != nil {
 			return nil, err
@@ -1108,8 +1129,10 @@ func encodeExecEntry(key corpus.ExecKey, o *trio, image *machine.Memory) (*corpu
 	return ent, nil
 }
 
-// decodeExecEntry rebuilds a trio from a cached outcome.
-func decodeExecEntry(ent *corpus.ExecEntry, image *machine.Memory) (*trio, error) {
+// decodeExec rebuilds a trio's results, in implOrder, from a cached
+// outcome. Their snapshots hold pooled pages the caller must release; on
+// error every snapshot already decoded is released here.
+func decodeExec(ent *corpus.ExecEntry, dec *machine.Decoder) ([]*harness.Result, error) {
 	if len(ent.Impls) != len(implOrder) {
 		return nil, fmt.Errorf("campaign: exec entry has %d outcomes, want %d",
 			len(ent.Impls), len(implOrder))
@@ -1117,10 +1140,12 @@ func decodeExecEntry(ent *corpus.ExecEntry, image *machine.Memory) (*trio, error
 	results := make([]*harness.Result, len(implOrder))
 	for i, impl := range ent.Impls {
 		if impl.Impl != implOrder[i] {
+			releaseAll(results...)
 			return nil, fmt.Errorf("campaign: exec entry order %q, want %q", impl.Impl, implOrder[i])
 		}
-		snap, err := machine.DecodeSnapshot(impl.Snap, image)
+		snap, err := dec.Decode(impl.Snap)
 		if err != nil {
+			releaseAll(results...)
 			return nil, err
 		}
 		results[i] = &harness.Result{
@@ -1128,7 +1153,16 @@ func decodeExecEntry(ent *corpus.ExecEntry, image *machine.Memory) (*trio, error
 			BaselineFault: impl.BaselineFault,
 		}
 	}
-	return &trio{fi: results[0], ce: results[1], hw: results[2]}, nil
+	return results, nil
+}
+
+// releaseAll ends the life of every non-nil result's snapshot.
+func releaseAll(rs ...*harness.Result) {
+	for _, r := range rs {
+		if r != nil {
+			r.Snapshot.Release()
+		}
+	}
 }
 
 // Summary renders the campaign like the paper's Section 6 numbers. The

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -117,6 +118,46 @@ func TestResumeCachesExecution(t *testing.T) {
 		t.Errorf("diff counts changed across resume: %d/%d vs %d/%d",
 			first.LoFiDiffTests, first.HiFiDiffTests,
 			second.LoFiDiffTests, second.HiFiDiffTests)
+	}
+}
+
+// TestWarmResumeWorkerDeterminism replays a primed exec cache with one
+// and with eight workers. Eight workers decode, compare and release
+// snapshots concurrently, recycling each other's pooled pages; the reports
+// must still be byte-identical to each other and to the cold run, which
+// `make race` checks under the race detector.
+func TestWarmResumeWorkerDeterminism(t *testing.T) {
+	cfg := Config{
+		MaxPathsPerInstr: 24,
+		Handlers:         []string{"push_r", "leave", "add_rm8_imm8_alias", "lfs"},
+		Seed:             1,
+		Workers:          1,
+		CorpusDir:        t.TempDir(),
+		Resume:           true,
+	}
+	cold, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.Differences) == 0 {
+		t.Fatal("the cold run found no differences to replay")
+	}
+	for _, workers := range []int{1, 8} {
+		cfg.Workers = workers
+		warm, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Cache.ExecHits != cold.TotalTests || warm.Cache.ExecMisses != 0 {
+			t.Fatalf("Workers=%d: exec hits/misses %d/%d, want %d/0",
+				workers, warm.Cache.ExecHits, warm.Cache.ExecMisses, cold.TotalTests)
+		}
+		if cs, ws := cold.Summary(), warm.Summary(); cs != ws {
+			t.Errorf("Workers=%d warm summary differs from the cold one:\ncold:\n%s\nwarm:\n%s", workers, cs, ws)
+		}
+		if !reflect.DeepEqual(warm.Differences, cold.Differences) {
+			t.Errorf("Workers=%d: warm differences differ from the cold run's", workers)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ package campaign
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -90,10 +89,10 @@ func TestVersionMismatchStillRefuses(t *testing.T) {
 }
 
 // TestUndecodableExecEntriesArePinned corrupts every cached execution
-// outcome (decodable JSON, wrong impl order — the shape decodeExecEntry
-// used to skip silently) and requires the resumed run to re-execute each
-// one, counting every corrupt entry in both the cache stats and the
-// degraded ledger.
+// outcome (a well-formed exec record with a wrong impl order — the shape
+// the trio decoder once skipped silently) and requires the resumed run to
+// re-execute each one, counting every corrupt entry in both the cache
+// stats and the degraded ledger.
 func TestUndecodableExecEntriesArePinned(t *testing.T) {
 	t.Cleanup(faults.Disarm)
 	faults.Disarm()
@@ -114,8 +113,8 @@ func TestUndecodableExecEntriesArePinned(t *testing.T) {
 		t.Fatalf("cold resume run: %d tests, %d exec misses", cold.TotalTests, cold.Cache.ExecMisses)
 	}
 
-	// Corrupt in place: every exec entry keeps valid corpus JSON but an
-	// impl name the campaign cannot map back to a harness result.
+	// Corrupt in place: every exec entry stays a valid exec record but
+	// gets an impl name the campaign cannot map back to a harness result.
 	corrupted := 0
 	err = filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
@@ -125,12 +124,17 @@ func TestUndecodableExecEntriesArePinned(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !bytes.Contains(b, []byte(`"impl":"fidelis"`)) {
+		ent, err := corpus.DecodeExecEntry(b)
+		if err != nil {
 			return nil // not an exec entry
 		}
 		corrupted++
-		return os.WriteFile(path, bytes.ReplaceAll(b,
-			[]byte(`"impl":"fidelis"`), []byte(`"impl":"fidelib"`)), 0o644)
+		ent.Impls[0].Impl = "fidelib"
+		out, err := corpus.EncodeExecEntry(ent)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(path, out, 0o644)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,12 +206,9 @@ func TestWrongBaseSnapshotsAreReexecuted(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !bytes.Contains(b, []byte(`"impl":"fidelis"`)) {
+		ent, err := corpus.DecodeExecEntry(b)
+		if err != nil {
 			return nil // not an exec entry
-		}
-		var ent corpus.ExecEntry
-		if err := json.Unmarshal(b, &ent); err != nil {
-			return err
 		}
 		for i := range ent.Impls {
 			snap, err := machine.ReadSnapshot(bytes.NewReader(ent.Impls[i].Snap), image)
@@ -221,7 +222,7 @@ func TestWrongBaseSnapshotsAreReexecuted(t *testing.T) {
 			ent.Impls[i].Snap = buf.Bytes()
 		}
 		rewritten++
-		out, err := json.Marshal(&ent)
+		out, err := corpus.EncodeExecEntry(ent)
 		if err != nil {
 			return err
 		}

@@ -19,15 +19,25 @@
 // cleanly instead of returning stale artifacts. Writes are atomic
 // (temp file + rename), so concurrent campaign workers and interrupted runs
 // never leave a torn entry behind.
+//
+// Entries are JSON, except executed-test outcomes: their payload is three
+// encoded machine snapshots, so each is one binary exec record (see
+// EncodeExecEntry) under the same object path. A record is read in one
+// buffer that the outcome's snapshot bytes alias. The campaign decodes
+// those snapshots into pooled pages, compares them, and releases them
+// inside the execute task that read the entry: a decoded snapshot dies at
+// the end of its execute task.
 package corpus
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -128,17 +138,23 @@ func (c *Corpus) objectPath(hash string) string {
 	return filepath.Join(c.dir, "objects", hash[:2], hash+".json")
 }
 
-// get loads the object with the given key hash into v. A missing or
-// unreadable (torn, corrupt, persistently erroring) object is a miss,
-// never an error: the caller recomputes and overwrites. Transient read
-// errors are retried with backoff before degrading to a miss.
+// get loads the JSON object with the given key hash into v; see load.
 func (c *Corpus) get(hash string, v any) bool {
+	return c.load(hash, func(b []byte) error { return json.Unmarshal(b, v) })
+}
+
+// load reads the object with the given key hash and hands its bytes to
+// decode. A missing or unreadable (torn, corrupt, persistently erroring)
+// object is a miss, never an error: the caller recomputes and overwrites.
+// Transient read errors are retried with backoff before degrading to a
+// miss.
+func (c *Corpus) load(hash string, decode func([]byte) error) bool {
 	b, err := c.readObject(hash)
 	if err != nil {
 		c.misses.Add(1)
 		return false
 	}
-	if err := json.Unmarshal(b, v); err != nil {
+	if err := decode(b); err != nil {
 		c.misses.Add(1)
 		return false
 	}
@@ -175,21 +191,26 @@ func (c *Corpus) readObject(hash string) ([]byte, error) {
 	return nil, lastErr
 }
 
-// put stores v under the given key hash atomically, retrying transient
-// write and rename failures with backoff. A put that exhausts its attempts
+// put stores v as JSON under the given key hash; see store.
+func (c *Corpus) put(hash string, v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("corpus: encoding %s: %w", hash, err)
+	}
+	return c.store(hash, b)
+}
+
+// store writes b under the given key hash atomically, retrying transient
+// write and rename failures with backoff. A store that exhausts its attempts
 // returns an error; callers must surface it (the campaign counts it in the
 // report's degraded section) rather than drop it.
-func (c *Corpus) put(hash string, v any) error {
+func (c *Corpus) store(hash string, b []byte) error {
 	path := c.objectPath(hash)
 	c.mu.Lock()
 	err := os.MkdirAll(filepath.Dir(path), 0o755)
 	c.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("corpus: encoding %s: %w", hash, err)
 	}
 	var lastErr error
 	for attempt := 0; attempt < ioAttempts; attempt++ {
@@ -392,41 +413,191 @@ func ExecProgSHA(bootCode, program []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Hash returns the content address of the key.
+// Hash returns the content address of the key. The exec record version
+// takes part, so an exec object an older build stored (as JSON, or in an
+// earlier record version) misses and is re-executed.
 func (k ExecKey) Hash() string {
-	return hashKey("exec", k.ProgSHA, strconv.Itoa(k.MaxSteps), strconv.Itoa(k.SnapVer))
+	return hashKey("exec", k.ProgSHA, strconv.Itoa(k.MaxSteps), strconv.Itoa(k.SnapVer),
+		"record"+strconv.Itoa(execRecordVersion))
 }
 
 // ExecOutcome is one implementation's result: the snapshot serialized in the
 // machine snapfile format relative to the shared baseline image.
 type ExecOutcome struct {
-	Impl          string `json:"impl"`
-	Steps         int    `json:"steps"`
-	BaselineFault bool   `json:"baseline_fault,omitempty"`
-	Snap          []byte `json:"snap"`
+	Impl          string
+	Steps         int
+	BaselineFault bool
+	Snap          []byte
 }
 
 // ExecEntry is the cached trio outcome for one test program.
 type ExecEntry struct {
-	Key   ExecKey       `json:"key"`
-	Impls []ExecOutcome `json:"impls"`
+	Key   ExecKey
+	Impls []ExecOutcome
 }
 
-// GetExec looks up a cached execution outcome.
+// GetExec looks up a cached execution outcome. Every Snap aliases the one
+// buffer the object was read into.
 func (c *Corpus) GetExec(k ExecKey) (*ExecEntry, bool) {
-	var e ExecEntry
-	if !c.get(k.Hash(), &e) {
+	var e *ExecEntry
+	if !c.load(k.Hash(), func(b []byte) (err error) {
+		e, err = DecodeExecEntry(b)
+		return err
+	}) {
 		return nil, false
 	}
 	if e.Key != k {
 		return nil, false
 	}
-	return &e, true
+	return e, true
 }
 
 // PutExec stores an execution outcome.
 func (c *Corpus) PutExec(e *ExecEntry) error {
-	return c.put(e.Key.Hash(), e)
+	b, err := EncodeExecEntry(e)
+	if err != nil {
+		return fmt.Errorf("corpus: encoding %s: %w", e.Key.Hash(), err)
+	}
+	return c.store(e.Key.Hash(), b)
+}
+
+// Exec record format. An execution outcome is stored as one binary record,
+// not JSON: its payload is three snapshots, which JSON would carry as
+// base64 strings. All integers are little endian; every variable-length
+// field is length-prefixed.
+//
+//	"PKEX" magic, u16 record version (execRecordVersion)
+//	key: u16 length + ProgSHA, i64 MaxSteps, i64 SnapVer
+//	u8 implementation count, then per implementation:
+//	  u8 length + name, i64 steps, u8 baseline-fault flag (0 or 1),
+//	  u32 length + snapshot bytes
+//
+// A record has exactly one encoding: decoding rejects trailing bytes and
+// flag bytes other than 0 and 1.
+const (
+	execMagic         = "PKEX"
+	execRecordVersion = 1
+)
+
+// EncodeExecEntry renders e as an exec record. Names longer than 255 bytes,
+// more than 255 implementations, and larger fields than the format's length
+// prefixes hold are errors.
+func EncodeExecEntry(e *ExecEntry) ([]byte, error) {
+	n := len(execMagic) + 2 + 2 + len(e.Key.ProgSHA) + 8 + 8 + 1
+	for _, o := range e.Impls {
+		n += 1 + len(o.Impl) + 8 + 1 + 4 + len(o.Snap)
+	}
+	if len(e.Key.ProgSHA) > math.MaxUint16 || len(e.Impls) > math.MaxUint8 {
+		return nil, errors.New("exec record: key or implementation list too long")
+	}
+	le := binary.LittleEndian
+	b := make([]byte, 0, n)
+	b = append(b, execMagic...)
+	b = le.AppendUint16(b, execRecordVersion)
+	b = le.AppendUint16(b, uint16(len(e.Key.ProgSHA)))
+	b = append(b, e.Key.ProgSHA...)
+	b = le.AppendUint64(b, uint64(e.Key.MaxSteps))
+	b = le.AppendUint64(b, uint64(e.Key.SnapVer))
+	b = append(b, byte(len(e.Impls)))
+	for _, o := range e.Impls {
+		if len(o.Impl) > math.MaxUint8 || int64(len(o.Snap)) > math.MaxUint32 {
+			return nil, fmt.Errorf("exec record: implementation %.32q too long", o.Impl)
+		}
+		b = append(b, byte(len(o.Impl)))
+		b = append(b, o.Impl...)
+		b = le.AppendUint64(b, uint64(o.Steps))
+		fault := byte(0)
+		if o.BaselineFault {
+			fault = 1
+		}
+		b = append(b, fault)
+		b = le.AppendUint32(b, uint32(len(o.Snap)))
+		b = append(b, o.Snap...)
+	}
+	return b, nil
+}
+
+// errExecRecord is the error every malformed exec record decodes to.
+var errExecRecord = errors.New("corpus: malformed exec record")
+
+// DecodeExecEntry parses an exec record. Every Snap aliases b (capacity
+// capped at its length); arbitrary bytes never panic, they fail.
+func DecodeExecEntry(b []byte) (*ExecEntry, error) {
+	r := recordReader{b: b}
+	if string(r.take(len(execMagic))) != execMagic || r.u16() != execRecordVersion {
+		return nil, errExecRecord
+	}
+	e := &ExecEntry{}
+	e.Key.ProgSHA = string(r.take(int(r.u16())))
+	e.Key.MaxSteps = int(r.u64())
+	e.Key.SnapVer = int(r.u64())
+	n := int(r.u8())
+	if r.bad || n*(1+8+1+4) > len(r.b) {
+		return nil, errExecRecord
+	}
+	e.Impls = make([]ExecOutcome, n)
+	for i := range e.Impls {
+		o := &e.Impls[i]
+		o.Impl = string(r.take(int(r.u8())))
+		o.Steps = int(r.u64())
+		switch r.u8() {
+		case 0:
+		case 1:
+			o.BaselineFault = true
+		default:
+			r.bad = true
+		}
+		o.Snap = r.take(int(r.u32()))
+	}
+	if r.bad || len(r.b) != 0 {
+		return nil, errExecRecord
+	}
+	return e, nil
+}
+
+// recordReader reads little-endian exec record fields. After the first
+// short read every field reads as zero and bad is set.
+type recordReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *recordReader) take(n int) []byte {
+	if r.bad || n > len(r.b) {
+		r.bad = true
+		return nil
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *recordReader) u8() uint8 {
+	if p := r.take(1); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
+func (r *recordReader) u16() uint16 {
+	if p := r.take(2); p != nil {
+		return binary.LittleEndian.Uint16(p)
+	}
+	return 0
+}
+
+func (r *recordReader) u32() uint32 {
+	if p := r.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
+}
+
+func (r *recordReader) u64() uint64 {
+	if p := r.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
 }
 
 // ---------------------------------------------------------------------------

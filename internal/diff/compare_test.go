@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pokeemu/internal/machine"
+	"pokeemu/internal/x86"
 )
 
 // bytewiseMemDiffs is the reference memory comparison: every byte of the
@@ -129,5 +130,67 @@ func TestCompareMatchesBytewise(t *testing.T) {
 
 	for i := 0; i < 300; i++ {
 		check(fmt.Sprintf("random pair %d", i), randomSide(rng, root), randomSide(rng, root))
+	}
+}
+
+// TestCompareFieldNames pins the field names of a comparison where every
+// CPU field differs: the precomputed name tables must spell each field the
+// way it was formatted per call.
+func TestCompareFieldNames(t *testing.T) {
+	a := &machine.Snapshot{CPU: machine.BaselineCPU(), Mem: machine.NewMemory()}
+	b := &machine.Snapshot{CPU: a.CPU, Mem: machine.NewMemory()}
+	c := &b.CPU
+	for i := range c.GPR {
+		c.GPR[i]++
+	}
+	for i := range c.Seg {
+		c.Seg[i].Sel++
+		c.Seg[i].Base++
+		c.Seg[i].Limit++
+		c.Seg[i].Attr++
+	}
+	for i := range c.MSR {
+		c.MSR[i]++
+	}
+	var want []string
+	for i := 0; i < 8; i++ {
+		want = append(want, x86.Reg(i).String())
+	}
+	for s := 0; s < x86.NumSegRegs; s++ {
+		name := x86.SegReg(s).String()
+		want = append(want, name+".sel", name+".base", name+".limit", name+".attr")
+	}
+	for i := range c.MSR {
+		want = append(want, fmt.Sprintf("msr%d", i))
+	}
+	var got []string
+	for _, f := range Compare(a, b, Filter{}) {
+		got = append(got, f.Field)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fields = %v\nwant %v", got, want)
+	}
+}
+
+// TestCompareEqualAllocs pins the cost of the common case, two equal
+// final states: Compare formats no field name and collects the touched
+// pages without a map, so it allocates nothing.
+func TestCompareEqualAllocs(t *testing.T) {
+	root := machine.BaselineImage()
+	side := func() *machine.Snapshot {
+		m := root.Overlay()
+		for _, pn := range comparePages {
+			m.Write8(pn*machine.PageSize+7, 0x42)
+		}
+		m = m.Overlay()
+		m.Write8(machine.StackTop-4, 1)
+		return &machine.Snapshot{CPU: machine.BaselineCPU(), Mem: m}
+	}
+	a, b := side(), side()
+	if ds := Compare(a, b, Filter{}); len(ds) != 0 {
+		t.Fatalf("equal snapshots differ: %v", ds)
+	}
+	if n := testing.AllocsPerRun(100, func() { Compare(a, b, Filter{}) }); n != 0 {
+		t.Errorf("equal-snapshot Compare allocates %v times per call, want 0", n)
 	}
 }

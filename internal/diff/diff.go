@@ -8,6 +8,7 @@ package diff
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,10 +66,30 @@ func UndefFilterFor(handler string) Filter {
 	return Filter{EFLAGSMask: m}
 }
 
+// Field names Compare reports, built once so a comparison formats no
+// names: per segment register its four descriptor-cache fields, and per
+// MSR slot its name.
+var (
+	segFields = func() (t [x86.NumSegRegs][4]string) {
+		for s := range t {
+			name := x86.SegReg(s).String()
+			t[s] = [4]string{name + ".sel", name + ".base", name + ".limit", name + ".attr"}
+		}
+		return t
+	}()
+	msrFields = func() (t [len(machine.CPU{}.MSR)]string) {
+		for i := range t {
+			t[i] = "msr" + strconv.Itoa(i)
+		}
+		return t
+	}()
+)
+
 // Compare reports the state components that differ between two snapshots,
 // after applying the filter. Memory is compared over the union of pages
 // either run touched (both runs start from the same shared image), a page
 // at a time; only a page whose contents differ is scanned byte by byte.
+// Comparing equal snapshots that touched few pages allocates nothing.
 func Compare(a, b *machine.Snapshot, f Filter) []FieldDiff {
 	var out []FieldDiff
 	add := func(field string, av, bv uint64) {
@@ -85,11 +106,11 @@ func Compare(a, b *machine.Snapshot, f Filter) []FieldDiff {
 	add("eflags", uint64(a.CPU.EFLAGS&^maskOut), uint64(b.CPU.EFLAGS&^maskOut))
 	for s := 0; s < x86.NumSegRegs; s++ {
 		sa, sb := a.CPU.Seg[s], b.CPU.Seg[s]
-		name := x86.SegReg(s).String()
-		add(name+".sel", uint64(sa.Sel), uint64(sb.Sel))
-		add(name+".base", uint64(sa.Base), uint64(sb.Base))
-		add(name+".limit", uint64(sa.Limit), uint64(sb.Limit))
-		add(name+".attr", uint64(sa.Attr), uint64(sb.Attr))
+		name := &segFields[s]
+		add(name[0], uint64(sa.Sel), uint64(sb.Sel))
+		add(name[1], uint64(sa.Base), uint64(sb.Base))
+		add(name[2], uint64(sa.Limit), uint64(sb.Limit))
+		add(name[3], uint64(sa.Attr), uint64(sb.Attr))
 	}
 	add("cr0", uint64(a.CPU.CR0), uint64(b.CPU.CR0))
 	add("cr2", uint64(a.CPU.CR2), uint64(b.CPU.CR2))
@@ -100,7 +121,7 @@ func Compare(a, b *machine.Snapshot, f Filter) []FieldDiff {
 	add("idtr.base", uint64(a.CPU.IDTRBase), uint64(b.CPU.IDTRBase))
 	add("idtr.limit", uint64(a.CPU.IDTRLimit), uint64(b.CPU.IDTRLimit))
 	for i := range a.CPU.MSR {
-		add(fmt.Sprintf("msr%d", i), a.CPU.MSR[i], b.CPU.MSR[i])
+		add(msrFields[i], a.CPU.MSR[i], b.CPU.MSR[i])
 	}
 	add("halted", boolU(a.CPU.Halted), boolU(b.CPU.Halted))
 
@@ -109,17 +130,11 @@ func Compare(a, b *machine.Snapshot, f Filter) []FieldDiff {
 	add("exc.err", excErr(a.Exception), excErr(b.Exception))
 
 	// Memory: union of touched pages relative to the shared root.
-	rootA, rootB := a.Mem.Root(), b.Mem.Root()
-	pages := a.Mem.Touched(rootA)
-	for pn := range b.Mem.Touched(rootB) {
-		pages[pn] = true
-	}
-	pns := make([]uint32, 0, len(pages))
-	for pn := range pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
+	var buf [64]uint32
+	pns := a.Mem.AppendTouched(buf[:0], a.Mem.Root())
+	pns = b.Mem.AppendTouched(pns, b.Mem.Root())
+	slices.Sort(pns)
+	for _, pn := range slices.Compact(pns) {
 		pa, pb := pageView(a.Mem, pn), pageView(b.Mem, pn)
 		if bytes.Equal(pa, pb) {
 			continue

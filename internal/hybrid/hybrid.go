@@ -127,7 +127,7 @@ type Stats struct {
 	Seeds          int `json:"seeds"`
 	SeedSignatures int `json:"seed_signatures"` // distinct sigs among seeds (the pure-symex yield)
 	Execs          int `json:"execs"`           // mutated executions spent
-	Skipped        int `json:"skipped"`         // jobs whose mutation or trio did not complete
+	Skipped        int `json:"skipped"`         // seeds whose coverage run, and jobs whose mutation or trio, did not complete
 	Deduped        int `json:"deduped"`         // candidates dropped by signature
 	NewCoverage    int `json:"new_coverage"`    // admitted inputs with new (edge,bucket) bits
 	Divergent      int `json:"divergent"`       // admitted mutated inputs that diverged
@@ -187,6 +187,9 @@ type fuzzer struct {
 	// oracle's shared program cache persist across candidates.
 	celer, hardware harness.Factory
 
+	// cover builds the instrumented interpreter coverRun records with.
+	cover func(*coverage.Map) harness.Factory
+
 	// maps pools the 128 KiB coverage maps coverRun records into; each goes
 	// back cleared, so a worker reuses one map across its runs.
 	maps sync.Pool
@@ -203,6 +206,7 @@ func newFuzzer(cfg Config) *fuzzer {
 		res:      &Result{},
 		celer:    harness.CelerFactory(),
 		hardware: harness.HardwareFactory(),
+		cover:    harness.CoverageFactory,
 	}
 }
 
@@ -277,7 +281,7 @@ func (f *fuzzer) coverRun(prog []byte) (*covRecord, *harness.Result) {
 	if cov == nil {
 		cov = coverage.New()
 	}
-	r := harness.RunBootBudget(harness.CoverageFactory(cov), f.cfg.Image, f.cfg.Boot, prog, f.budget)
+	r := harness.RunBootBudget(f.cover(cov), f.cfg.Image, f.cfg.Boot, prog, f.budget)
 	rec := &covRecord{sig: cov.Signature(), edges: cov.Edges(), hits: cov.Hits()}
 	cov.Reset()
 	f.maps.Put(cov)
@@ -313,13 +317,17 @@ func (f *fuzzer) evalSeeds(ctx context.Context, seeds []Seed) {
 	})
 	seen := make(map[uint64]bool)
 	for i, s := range seeds {
-		if covs[i] == nil {
-			continue // canceled or crashed slot; deterministic only pre-cancel
-		}
 		// Every seed's divergence verdict is carried over — even a seed whose
-		// coverage duplicates an earlier one — so the hybrid report reproduces
-		// the campaign's full known-divergence set.
+		// coverage duplicates an earlier one, or whose coverage run crashed —
+		// so the hybrid report reproduces the campaign's full
+		// known-divergence set.
 		f.res.Divergences = append(f.res.Divergences, s.Divs...)
+		if covs[i] == nil {
+			// Crashed or canceled coverage run: the seed cannot join the
+			// corpus, and counts as a skipped job.
+			f.res.Stats.Skipped++
+			continue
+		}
 		sig := covs[i].sig
 		if !seen[sig] {
 			seen[sig] = true

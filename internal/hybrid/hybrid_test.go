@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pokeemu/internal/core"
+	"pokeemu/internal/coverage"
 	"pokeemu/internal/emu"
 	"pokeemu/internal/faults"
 	"pokeemu/internal/harness"
@@ -381,5 +382,51 @@ func TestTrioCrashSkips(t *testing.T) {
 	}
 	if f.sigs[victim.Sig] {
 		t.Error("the crashed candidate's signature stays reserved")
+	}
+}
+
+// TestSeedCoverageCrashKeepsDivs: a seed whose coverage run panics cannot
+// join the corpus, but its known divergence verdicts are still carried
+// into the result, and the crash counts as one skipped job. Every other
+// seed is admitted as in a clean run.
+func TestSeedCoverageCrashKeepsDivs(t *testing.T) {
+	fixture(t)
+	seeds := append([]Seed(nil), fix.seeds...)
+	seeds[0].Divs = []Divergence{{InputID: seeds[0].ID, Handler: seeds[0].Handler,
+		Mnemonic: seeds[0].Mnemonic, Impl: "celer", Signature: "sig-known"}}
+	eval := func(crash bool) *fuzzer {
+		f := newFuzzer(baseConfig(4))
+		if crash {
+			victim := seeds[0].Prog
+			f.cover = func(cov *coverage.Map) harness.Factory {
+				inner := harness.CoverageFactory(cov)
+				return harness.Factory{Name: inner.Name, New: func(m *machine.Machine) emu.Emulator {
+					for i, b := range victim {
+						if m.Mem.Read8(machine.CodeBase+uint32(i)) != b {
+							return inner.New(m)
+						}
+					}
+					panic("injected coverage crash")
+				}}
+			}
+		}
+		f.evalSeeds(context.Background(), seeds)
+		return f
+	}
+	clean, crashed := eval(false), eval(true)
+	if !reflect.DeepEqual(crashed.res.Divergences, clean.res.Divergences) {
+		t.Errorf("divergences = %v, want the clean run's %v", crashed.res.Divergences, clean.res.Divergences)
+	}
+	if crashed.res.Stats.Skipped != clean.res.Stats.Skipped+1 {
+		t.Errorf("Skipped = %d, want %d (the crashed seed counted once)",
+			crashed.res.Stats.Skipped, clean.res.Stats.Skipped+1)
+	}
+	for _, in := range crashed.res.Inputs {
+		if in.ID == seeds[0].ID {
+			t.Error("the crashed seed joined the corpus")
+		}
+	}
+	if len(crashed.res.Inputs) == 0 {
+		t.Error("no seed was admitted beside the crashed one")
 	}
 }

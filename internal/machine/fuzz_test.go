@@ -10,7 +10,8 @@ import (
 // snapshots come from the corpus, which is untrusted input. Decoding must
 // never panic, and anything that decodes must re-encode and re-decode to
 // the same CPU, exception and page contents. The per-page reference
-// decoder must accept exactly the same inputs, with the same result.
+// decoder and a pooled Decoder (whose pages are recycled from one input to
+// the next) must accept exactly the same inputs, with the same result.
 func FuzzReadSnapshot(f *testing.F) {
 	image := BaselineImage()
 	var buf bytes.Buffer
@@ -25,11 +26,16 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("PKEM\x02\x00"))
 
+	dec := NewDecoder(image)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first, err := ReadSnapshot(bytes.NewReader(data), image)
 		ref, refErr := readSnapshotPerPage(bytes.NewReader(data), image)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("decoder err = %v, per-page reference err = %v", err, refErr)
+		}
+		pooled, poolErr := dec.Decode(data)
+		if (poolErr == nil) != (refErr == nil) {
+			t.Fatalf("pooled decoder err = %v, per-page reference err = %v", poolErr, refErr)
 		}
 		if err != nil {
 			return
@@ -38,6 +44,11 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatalf("decoder and per-page reference disagree on CPU or exception")
 		}
 		pagesEqual(t, first.Mem, ref.Mem, image, image)
+		if pooled.CPU != ref.CPU || !reflect.DeepEqual(pooled.Exception, ref.Exception) {
+			t.Fatalf("pooled decoder and per-page reference disagree on CPU or exception")
+		}
+		pagesEqual(t, pooled.Mem, ref.Mem, image, image)
+		pooled.Release()
 		var again bytes.Buffer
 		if err := first.WriteTo(&again, image); err != nil {
 			t.Fatal(err)

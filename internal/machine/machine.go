@@ -62,6 +62,9 @@ type page [PageSize]byte
 type Memory struct {
 	pages map[uint32]*page
 	base  *Memory
+	// pooled marks a Decoder's snapshot memory, whose pages Release
+	// returns to the page pool.
+	pooled bool
 }
 
 // NewMemory returns empty (all-zero) physical memory.
@@ -75,14 +78,17 @@ func (m *Memory) Overlay() *Memory {
 	return &Memory{pages: make(map[uint32]*page), base: m}
 }
 
-// find returns the page content for reading, or nil if never written.
+// find returns the page content for reading, or nil if never written. A
+// nil m panics, so every read of a released snapshot's memory fails loudly.
 func (m *Memory) find(pn uint32) *page {
-	for cur := m; cur != nil; cur = cur.base {
+	for cur := m; ; {
 		if p, ok := cur.pages[pn]; ok {
 			return p
 		}
+		if cur = cur.base; cur == nil {
+			return nil
+		}
 	}
-	return nil
 }
 
 // pageForWrite materializes a private copy of the page in this overlay.
@@ -91,8 +97,10 @@ func (m *Memory) pageForWrite(pn uint32) *page {
 		return p
 	}
 	p := new(page)
-	if src := m.base.find(pn); src != nil {
-		*p = *src
+	if m.base != nil {
+		if src := m.base.find(pn); src != nil {
+			*p = *src
+		}
 	}
 	m.pages[pn] = p
 	return p
@@ -197,6 +205,19 @@ func (m *Memory) Touched(sharedRoot *Memory) map[uint32]bool {
 		}
 	}
 	return out
+}
+
+// AppendTouched appends the page numbers Touched reports to dst and returns
+// the extended slice, allocating only to grow dst. The pages come in no
+// particular order, and a page written in several layers appears once per
+// layer: callers sort and compact.
+func (m *Memory) AppendTouched(dst []uint32, sharedRoot *Memory) []uint32 {
+	for cur := m; cur != nil && cur != sharedRoot; cur = cur.base {
+		for pn := range cur.pages {
+			dst = append(dst, pn)
+		}
+	}
+	return dst
 }
 
 // Root returns the bottom of the overlay chain.

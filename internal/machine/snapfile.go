@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+	"sync"
 )
 
 // Snapshot file format. The paper notes that while Bochs and QEMU ship
@@ -45,6 +46,7 @@ const SnapVersion = snapVersion
 var (
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 	zeroPage   page
+	zeroCRC    = crc32.Checksum(zeroPage[:], castagnoli)
 )
 
 // basePage returns the content of page pn in the shared base image, with
@@ -98,12 +100,9 @@ func (s *Snapshot) WriteTo(w io.Writer, sharedRoot *Memory) error {
 	}
 
 	// Touched pages, sorted for determinism.
-	pages := s.Mem.Touched(sharedRoot)
-	pns := make([]uint32, 0, len(pages))
-	for pn := range pages {
-		pns = append(pns, pn)
-	}
+	pns := s.Mem.AppendTouched(nil, sharedRoot)
 	slices.Sort(pns)
+	pns = slices.Compact(pns)
 	b = le.AppendUint32(b, uint32(len(pns)))
 	for _, pn := range pns {
 		old := basePage(sharedRoot, pn)
@@ -214,9 +213,72 @@ const pageRecordMin = 4 + 4 + 2
 // DecodeSnapshot deserializes an encoded snapshot. Pages are layered over
 // the given base image, which must be the shared image used when writing: a
 // touched page whose base page does not match the writer's CRC is an error.
-// The snapshot shares no memory with data; its touched pages come from one
-// allocation.
+// The snapshot shares no memory with data and owns its pages; it needs no
+// Release. A caller decoding many snapshots against one image uses a
+// Decoder instead.
 func DecodeSnapshot(data []byte, base *Memory) (*Snapshot, error) {
+	return NewDecoder(base).decode(data, false)
+}
+
+// Decoder decodes snapshots against one shared base image. It computes the
+// CRC-32C of every base page once, and its snapshots take their pages from
+// a process-wide pool that Release refills. The base image must not change
+// while the Decoder is in use. A Decoder is safe for concurrent use.
+type Decoder struct {
+	base *Memory
+	crcs map[uint32]uint32 // CRC-32C of every page the base holds
+}
+
+// NewDecoder builds a Decoder for the given base image (nil reads as the
+// empty image).
+func NewDecoder(base *Memory) *Decoder {
+	if base == nil {
+		base = NewMemory()
+	}
+	pns := base.AppendTouched(nil, nil)
+	dec := &Decoder{base: base, crcs: make(map[uint32]uint32, len(pns))}
+	for _, pn := range pns {
+		dec.crcs[pn] = crc32.Checksum(basePage(base, pn), castagnoli)
+	}
+	return dec
+}
+
+// baseCRC is the CRC-32C of base page pn.
+func (dec *Decoder) baseCRC(pn uint32) uint32 {
+	if sum, ok := dec.crcs[pn]; ok {
+		return sum
+	}
+	return zeroCRC
+}
+
+// Decode deserializes an encoded snapshot like DecodeSnapshot. The
+// snapshot's pages are pooled: once the caller is done with it, Release
+// hands them back for the next Decode.
+func (dec *Decoder) Decode(data []byte) (*Snapshot, error) {
+	return dec.decode(data, true)
+}
+
+// pagePool recycles the pages of released decoded snapshots.
+var pagePool = sync.Pool{New: func() any { return new(page) }}
+
+// Release ends the snapshot's life. Pages of a snapshot a Decoder produced
+// go back to the pool, to be overwritten by a later Decode; any snapshot's
+// Mem becomes nil, so a read after Release panics instead of seeing another
+// snapshot's memory. Release on a released snapshot does nothing.
+func (s *Snapshot) Release() {
+	if m := s.Mem; m != nil && m.pooled {
+		for pn, p := range m.pages {
+			pagePool.Put(p)
+			delete(m.pages, pn)
+		}
+		m.base = nil
+	}
+	s.Mem = nil
+}
+
+// decode is the one decoder body. Pooled snapshots take their pages from
+// pagePool; the others own one fresh slab.
+func (dec *Decoder) decode(data []byte, pooled bool) (*Snapshot, error) {
 	d := &snapDecoder{b: data}
 	if magic := d.take(len(snapMagic)); d.err == nil && string(magic) != snapMagic {
 		return nil, fmt.Errorf("machine: bad snapshot magic %q", magic)
@@ -264,44 +326,53 @@ func DecodeSnapshot(data []byte, base *Memory) (*Snapshot, error) {
 		return nil, fmt.Errorf("machine: truncated snapshot: %d pages in %d bytes: %w",
 			count, len(d.b), io.ErrUnexpectedEOF)
 	}
-	if base == nil {
-		base = NewMemory()
+	mem := &Memory{pages: make(map[uint32]*page, count), base: dec.base, pooled: pooled}
+	s.Mem = mem
+	var slab []page
+	if !pooled {
+		slab = make([]page, count)
 	}
-	mem := &Memory{pages: make(map[uint32]*page, count), base: base}
-	slab := make([]page, count)
+	fail := func(err error) (*Snapshot, error) {
+		s.Release()
+		return nil, err
+	}
 	var prev uint32
-	for i := range slab {
+	for i := 0; i < int(count); i++ {
 		pn, sum, runs := d.u32(), d.u32(), d.u16()
 		if d.err != nil {
-			return nil, d.err
+			return fail(d.err)
 		}
 		if pn >= NumPages {
-			return nil, fmt.Errorf("machine: snapshot page %#x out of range", pn)
+			return fail(fmt.Errorf("machine: snapshot page %#x out of range", pn))
 		}
 		if i > 0 && pn <= prev {
-			return nil, fmt.Errorf("machine: snapshot page %#x out of order", pn)
+			return fail(fmt.Errorf("machine: snapshot page %#x out of order", pn))
 		}
 		prev = pn
-		p := &slab[i]
-		copy(p[:], basePage(base, pn))
-		if crc32.Checksum(p[:], castagnoli) != sum {
-			return nil, fmt.Errorf("machine: snapshot page %#x was written against a different base image", pn)
+		if dec.baseCRC(pn) != sum {
+			return fail(fmt.Errorf("machine: snapshot page %#x was written against a different base image", pn))
 		}
+		var p *page
+		if pooled {
+			p = pagePool.Get().(*page)
+		} else {
+			p = &slab[i]
+		}
+		copy(p[:], basePage(dec.base, pn))
+		mem.pages[pn] = p
 		for j := uint16(0); j < runs; j++ {
 			off, n := int(d.u16()), int(d.u16())
 			if off+n > PageSize {
-				return nil, fmt.Errorf("machine: snapshot page %#x run [%d,+%d) overflows the page", pn, off, n)
+				return fail(fmt.Errorf("machine: snapshot page %#x run [%d,+%d) overflows the page", pn, off, n))
 			}
 			copy(p[off:], d.take(n))
 			if d.err != nil {
-				return nil, d.err
+				return fail(d.err)
 			}
 		}
-		mem.pages[pn] = p
 	}
 	if len(d.b) != 0 {
-		return nil, fmt.Errorf("machine: %d trailing bytes after snapshot", len(d.b))
+		return fail(fmt.Errorf("machine: %d trailing bytes after snapshot", len(d.b)))
 	}
-	s.Mem = mem
 	return s, nil
 }
