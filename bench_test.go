@@ -41,7 +41,7 @@ func BenchmarkE1InstructionSetExploration(b *testing.B) {
 		res = core.ExploreInstructionSet()
 	}
 	b.ReportMetric(float64(res.ExploredPaths), "decoder-paths")
-	b.ReportMetric(float64(len(res.Candidates)), "candidates")
+	b.ReportMetric(float64(res.Candidates), "candidates")
 	b.ReportMetric(float64(len(res.Unique)), "unique-instrs")
 }
 

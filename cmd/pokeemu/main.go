@@ -313,7 +313,7 @@ func cmdExplore() {
 	res := core.ExploreInstructionSet()
 	fmt.Printf("decoder paths explored: %d (of a raw 2^24 three-byte space)\n",
 		res.ExploredPaths)
-	fmt.Printf("candidate byte sequences: %d\n", len(res.Candidates))
+	fmt.Printf("candidate byte sequences: %d\n", res.Candidates)
 	fmt.Printf("unique instructions: %d\n", len(res.Unique))
 	for _, u := range res.Unique {
 		fmt.Printf("  %-24s % x\n", u.Key(), u.Repr)

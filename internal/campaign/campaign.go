@@ -275,6 +275,13 @@ type CacheStats struct {
 	// undecodable (corrupt or stale entries); each was re-executed, so it
 	// also counts as a miss. Non-zero means the corpus needs attention.
 	ExecDecodeFailed int
+	// SnapshotsDecoded counts the snapshots the cached trios decoded: one
+	// per distinct snapshot byte string within a trio. SnapshotsShared
+	// counts the trio members whose bytes equaled an earlier member's and
+	// so took its decoded snapshot instead. Their sum is three per cached
+	// trio.
+	SnapshotsDecoded int
+	SnapshotsShared  int
 
 	// Corpus I/O resilience counters (deltas for this run's corpus handle):
 	// retries are extra attempts that then succeeded; failures exhausted
@@ -444,6 +451,7 @@ type trio struct {
 	fault              string
 	putErr             error            // corpus write failure for this test's exec entry
 	decodeFailed       bool             // cached entry present but undecodable; re-executed
+	snapsDecoded       int              // distinct snapshots a cached trio decoded
 	lofi, hifi         []diff.FieldDiff // hardware vs celer, hardware vs fidelis
 	vote               *diff.Verdict    // nil unless Config.Vote
 }
@@ -820,9 +828,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			if dec != nil {
 				if ent, ok := crp.GetExec(ek); ok {
-					if rs, err := decodeExec(ent, dec); err == nil {
+					if rs, n, err := decodeExec(ent, dec); err == nil {
 						fi, ce, hw = rs[0], rs[1], rs[2]
-						o.cached = true
+						o.cached, o.snapsDecoded = true, n
 					} else {
 						// Present but undecodable: fall through to a real
 						// execution, and count the corrupt entry.
@@ -907,6 +915,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		res.Timing.ExecHW += o.tHw
 		if o.cached {
 			res.Cache.ExecHits++
+			res.Cache.SnapshotsDecoded += o.snapsDecoded
+			res.Cache.SnapshotsShared += len(implOrder) - o.snapsDecoded
 		} else {
 			res.Cache.ExecMisses++
 		}
@@ -1130,33 +1140,50 @@ func encodeExec(key corpus.ExecKey, fi, ce, hw *harness.Result, image *machine.M
 }
 
 // decodeExec rebuilds a trio's results, in implOrder, from a cached
-// outcome. Their snapshots hold pooled pages the caller must release; on
-// error every snapshot already decoded is released here.
-func decodeExec(ent *corpus.ExecEntry, dec *machine.Decoder) ([]*harness.Result, error) {
+// outcome, and returns how many snapshots it decoded. Members whose
+// snapshot bytes are equal share one decoded snapshot: decoding and its
+// validation are a function of the bytes and the base image alone, so a
+// shared decode is the decode each would have had. The snapshots hold
+// pooled pages the caller must release (Release is idempotent, so
+// releasing a shared snapshot once per member is safe); on error every
+// snapshot already decoded is released here.
+func decodeExec(ent *corpus.ExecEntry, dec *machine.Decoder) ([]*harness.Result, int, error) {
 	if len(ent.Impls) != len(implOrder) {
-		return nil, fmt.Errorf("campaign: exec entry has %d outcomes, want %d",
+		return nil, 0, fmt.Errorf("campaign: exec entry has %d outcomes, want %d",
 			len(ent.Impls), len(implOrder))
 	}
 	results := make([]*harness.Result, len(implOrder))
+	decoded := 0
 	for i, impl := range ent.Impls {
 		if impl.Impl != implOrder[i] {
 			releaseAll(results...)
-			return nil, fmt.Errorf("campaign: exec entry order %q, want %q", impl.Impl, implOrder[i])
+			return nil, 0, fmt.Errorf("campaign: exec entry order %q, want %q", impl.Impl, implOrder[i])
 		}
-		snap, err := dec.Decode(impl.Snap)
-		if err != nil {
-			releaseAll(results...)
-			return nil, err
+		var snap *machine.Snapshot
+		for j := range i {
+			if bytes.Equal(ent.Impls[j].Snap, impl.Snap) {
+				snap = results[j].Snapshot
+				break
+			}
+		}
+		if snap == nil {
+			var err error
+			if snap, err = dec.Decode(impl.Snap); err != nil {
+				releaseAll(results...)
+				return nil, 0, err
+			}
+			decoded++
 		}
 		results[i] = &harness.Result{
 			Impl: impl.Impl, Snapshot: snap, Steps: impl.Steps,
 			BaselineFault: impl.BaselineFault,
 		}
 	}
-	return results, nil
+	return results, decoded, nil
 }
 
-// releaseAll ends the life of every non-nil result's snapshot.
+// releaseAll ends the life of every non-nil result's snapshot; results
+// sharing a snapshot release it once.
 func releaseAll(rs ...*harness.Result) {
 	for _, r := range rs {
 		if r != nil {
@@ -1172,7 +1199,7 @@ func releaseAll(rs ...*harness.Result) {
 func (r *Result) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "instruction-set exploration: %d decoder paths, %d candidates, %d unique instructions\n",
-		r.InstrSet.ExploredPaths, len(r.InstrSet.Candidates), len(r.InstrSet.Unique))
+		r.InstrSet.ExploredPaths, r.InstrSet.Candidates, len(r.InstrSet.Unique))
 	fmt.Fprintf(&b, "state-space exploration: %d instructions, %d paths, %d/%d exhaustively explored (%.1f%%)\n",
 		r.ExploredInstrs, r.TotalPaths, r.ExhaustedCount, r.ExploredInstrs,
 		100*float64(r.ExhaustedCount)/float64(max(1, r.ExploredInstrs)))
@@ -1310,6 +1337,10 @@ func (r *Result) TimingTable() string {
 	}
 	if r.Cache.Enabled {
 		fmt.Fprintf(&b, "descriptor-parse summary cached: %v\n", r.Cache.SummaryHit)
+	}
+	if c := r.Cache; c.SnapshotsDecoded+c.SnapshotsShared > 0 {
+		fmt.Fprintf(&b, "cached snapshots: %d decoded, %d shared with an equal trio member\n",
+			c.SnapshotsDecoded, c.SnapshotsShared)
 	}
 	// Corpus I/O resilience: printed only when something retried or failed,
 	// so healthy-run output is unchanged.

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -158,8 +159,29 @@ func TestWarmResumeWorkerDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(warm.Differences, cold.Differences) {
 			t.Errorf("Workers=%d: warm differences differ from the cold run's", workers)
 		}
+		// The decode work is a deterministic count: one decode per
+		// distinct snapshot of a trio, whatever the worker count.
+		if c := warm.Cache; c.SnapshotsDecoded != warmSnapshotsDecoded || c.SnapshotsShared != warmSnapshotsShared {
+			t.Errorf("Workers=%d: %d snapshots decoded, %d shared, want %d/%d",
+				workers, c.SnapshotsDecoded, c.SnapshotsShared, warmSnapshotsDecoded, warmSnapshotsShared)
+		}
+		if !strings.Contains(warm.TimingTable(), fmt.Sprintf("cached snapshots: %d decoded, %d shared",
+			warmSnapshotsDecoded, warmSnapshotsShared)) {
+			t.Errorf("Workers=%d: the timing table lacks the snapshot counts:\n%s", workers, warm.TimingTable())
+		}
+	}
+	if cold.Cache.SnapshotsDecoded != 0 || strings.Contains(cold.TimingTable(), "cached snapshots") {
+		t.Error("the cold run counted cached snapshots")
 	}
 }
+
+// The snapshot decode counts of TestWarmResumeWorkerDeterminism's warm
+// run: its 3×tests snapshots split into distinct byte strings per trio
+// and members equal to an earlier one.
+const (
+	warmSnapshotsDecoded = 154
+	warmSnapshotsShared  = 107
+)
 
 // TestPanicIsolation checks that a crashing handler costs one fault record,
 // not the campaign: the other instructions still produce tests, and the

@@ -88,35 +88,12 @@ func TestVersionMismatchStillRefuses(t *testing.T) {
 	}
 }
 
-// TestUndecodableExecEntriesArePinned corrupts every cached execution
-// outcome (a well-formed exec record with a wrong impl order — the shape
-// the trio decoder once skipped silently) and requires the resumed run to
-// re-execute each one, counting every corrupt entry in both the cache
-// stats and the degraded ledger.
-func TestUndecodableExecEntriesArePinned(t *testing.T) {
-	t.Cleanup(faults.Disarm)
-	faults.Disarm()
-	dir := t.TempDir()
-	cfg := Config{
-		MaxPathsPerInstr: 8,
-		Handlers:         []string{"push_r"},
-		Seed:             1,
-		Workers:          2,
-		CorpusDir:        dir,
-		Resume:           true,
-	}
-	cold, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Cache.ExecMisses != cold.TotalTests || cold.TotalTests == 0 {
-		t.Fatalf("cold resume run: %d tests, %d exec misses", cold.TotalTests, cold.Cache.ExecMisses)
-	}
-
-	// Corrupt in place: every exec entry stays a valid exec record but
-	// gets an impl name the campaign cannot map back to a harness result.
-	corrupted := 0
-	err = filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d fs.DirEntry, err error) error {
+// rewriteExecEntries applies rewrite to every exec record under the corpus
+// root dir and returns how many it rewrote.
+func rewriteExecEntries(t *testing.T, dir string, rewrite func(*corpus.ExecEntry) error) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -128,8 +105,10 @@ func TestUndecodableExecEntriesArePinned(t *testing.T) {
 		if err != nil {
 			return nil // not an exec entry
 		}
-		corrupted++
-		ent.Impls[0].Impl = "fidelib"
+		if err := rewrite(ent); err != nil {
+			return err
+		}
+		n++
 		out, err := corpus.EncodeExecEntry(ent)
 		if err != nil {
 			return err
@@ -139,28 +118,34 @@ func TestUndecodableExecEntriesArePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if corrupted != cold.TotalTests {
-		t.Fatalf("corrupted %d exec entries, want %d", corrupted, cold.TotalTests)
-	}
+	return n
+}
 
-	warm, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+// sameSnapshots gives every member of a trio the first member's snapshot
+// bytes, so a resumed run decodes them once and shares the result.
+func sameSnapshots(ent *corpus.ExecEntry) {
+	for i := range ent.Impls {
+		ent.Impls[i].Snap = ent.Impls[0].Snap
 	}
-	if warm.Cache.ExecDecodeFailed != cold.TotalTests {
-		t.Errorf("ExecDecodeFailed = %d, want %d", warm.Cache.ExecDecodeFailed, cold.TotalTests)
+}
+
+// resumeCfg is the small resumed campaign the corrupt-corpus tests run.
+func resumeCfg(dir string) Config {
+	return Config{
+		MaxPathsPerInstr: 8,
+		Handlers:         []string{"push_r"},
+		Seed:             1,
+		Workers:          2,
+		CorpusDir:        dir,
+		Resume:           true,
 	}
-	if warm.Cache.ExecHits != 0 || warm.Cache.ExecMisses != cold.TotalTests {
-		t.Errorf("exec cache hits/misses = %d/%d, want 0/%d (every entry re-executed)",
-			warm.Cache.ExecHits, warm.Cache.ExecMisses, cold.TotalTests)
-	}
-	if warm.Degraded.CorpusReads != cold.TotalTests {
-		t.Errorf("Degraded.CorpusReads = %d, want %d", warm.Degraded.CorpusReads, cold.TotalTests)
-	}
-	if got := warm.Degraded.Reasons[ReasonCorpusRead]; got != cold.TotalTests {
-		t.Errorf("reason %q counted %d times, want %d", ReasonCorpusRead, got, cold.TotalTests)
-	}
-	// The re-execution repaired the corpus: a third run replays cleanly.
+}
+
+// checkRepaired runs cfg a third time, after a run that re-executed every
+// bad entry, and requires a clean replay of the cold run: every trio a
+// hit, three snapshots counted per trio, and the cold summary.
+func checkRepaired(t *testing.T, cfg Config, cold *Result) {
+	t.Helper()
 	again, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +154,76 @@ func TestUndecodableExecEntriesArePinned(t *testing.T) {
 		t.Errorf("after repair: hits %d, decode failures %d, want %d/0",
 			again.Cache.ExecHits, again.Cache.ExecDecodeFailed, cold.TotalTests)
 	}
+	if c := again.Cache; c.SnapshotsDecoded+c.SnapshotsShared != 3*cold.TotalTests || c.SnapshotsDecoded == 0 {
+		t.Errorf("after repair: %d snapshots decoded, %d shared, want %d in all",
+			c.SnapshotsDecoded, c.SnapshotsShared, 3*cold.TotalTests)
+	}
 	if cs, ws := cold.Summary(), again.Summary(); cs != ws {
 		t.Errorf("repaired summary drifted:\ncold:\n%s\nrepaired:\n%s", cs, ws)
+	}
+}
+
+// TestUndecodableExecEntriesArePinned corrupts every cached execution
+// outcome and requires the resumed run to re-execute each one, counting
+// every corrupt entry in both the cache stats and the degraded ledger. The
+// corruptions: a well-formed exec record with a wrong impl order (the
+// shape the trio decoder once skipped silently), and a trio whose three
+// snapshots are one identical, truncated byte string (decoded once and
+// shared, so the one decode must still fail the whole trio).
+func TestUndecodableExecEntriesArePinned(t *testing.T) {
+	t.Cleanup(faults.Disarm)
+	faults.Disarm()
+	for name, corrupt := range map[string]func(*corpus.ExecEntry) error{
+		"impl-order": func(ent *corpus.ExecEntry) error {
+			ent.Impls[0].Impl = "fidelib"
+			return nil
+		},
+		"identical-truncated": func(ent *corpus.ExecEntry) error {
+			sameSnapshots(ent)
+			for i := range ent.Impls {
+				ent.Impls[i].Snap = ent.Impls[i].Snap[:len(ent.Impls[i].Snap)-1]
+			}
+			return nil
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := resumeCfg(t.TempDir())
+			cold, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Cache.ExecMisses != cold.TotalTests || cold.TotalTests == 0 {
+				t.Fatalf("cold resume run: %d tests, %d exec misses", cold.TotalTests, cold.Cache.ExecMisses)
+			}
+			if corrupted := rewriteExecEntries(t, cfg.CorpusDir, corrupt); corrupted != cold.TotalTests {
+				t.Fatalf("corrupted %d exec entries, want %d", corrupted, cold.TotalTests)
+			}
+
+			warm, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Cache.ExecDecodeFailed != cold.TotalTests {
+				t.Errorf("ExecDecodeFailed = %d, want %d", warm.Cache.ExecDecodeFailed, cold.TotalTests)
+			}
+			if warm.Cache.ExecHits != 0 || warm.Cache.ExecMisses != cold.TotalTests {
+				t.Errorf("exec cache hits/misses = %d/%d, want 0/%d (every entry re-executed)",
+					warm.Cache.ExecHits, warm.Cache.ExecMisses, cold.TotalTests)
+			}
+			if c := warm.Cache; c.SnapshotsDecoded != 0 || c.SnapshotsShared != 0 {
+				t.Errorf("%d snapshots decoded, %d shared, want none counted (no trio served)",
+					c.SnapshotsDecoded, c.SnapshotsShared)
+			}
+			if warm.Degraded.CorpusReads != cold.TotalTests {
+				t.Errorf("Degraded.CorpusReads = %d, want %d", warm.Degraded.CorpusReads, cold.TotalTests)
+			}
+			if got := warm.Degraded.Reasons[ReasonCorpusRead]; got != cold.TotalTests {
+				t.Errorf("reason %q counted %d times, want %d", ReasonCorpusRead, got, cold.TotalTests)
+			}
+			// The re-execution repaired the corpus: a third run replays
+			// cleanly.
+			checkRepaired(t, cfg, cold)
+		})
 	}
 }
 
@@ -178,38 +231,14 @@ func TestUndecodableExecEntriesArePinned(t *testing.T) {
 // outcome as if it had been written against another base image (the empty
 // one) and requires the resumed run to reject each entry and re-execute it,
 // finding exactly the cold run's differences: a snapshot decoded over the
-// wrong image is never served as a result.
+// wrong image is never served as a result. It does so for trios as
+// written and for trios whose three snapshots are one identical byte
+// string, which the resumed run decodes once and shares.
 func TestWrongBaseSnapshotsAreReexecuted(t *testing.T) {
 	t.Cleanup(faults.Disarm)
 	faults.Disarm()
-	dir := t.TempDir()
-	cfg := Config{
-		MaxPathsPerInstr: 8,
-		Handlers:         []string{"push_r"},
-		Seed:             1,
-		Workers:          2,
-		CorpusDir:        dir,
-		Resume:           true,
-	}
-	cold, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	image := machine.BaselineImage()
-	rewritten := 0
-	err = filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		ent, err := corpus.DecodeExecEntry(b)
-		if err != nil {
-			return nil // not an exec entry
-		}
+	toEmptyBase := func(ent *corpus.ExecEntry) error {
 		for i := range ent.Impls {
 			snap, err := machine.ReadSnapshot(bytes.NewReader(ent.Impls[i].Snap), image)
 			if err != nil {
@@ -221,41 +250,41 @@ func TestWrongBaseSnapshotsAreReexecuted(t *testing.T) {
 			}
 			ent.Impls[i].Snap = buf.Bytes()
 		}
-		rewritten++
-		out, err := corpus.EncodeExecEntry(ent)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(path, out, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
+		return nil
 	}
-	if rewritten != cold.TotalTests || rewritten == 0 {
-		t.Fatalf("rewrote %d exec entries, want %d", rewritten, cold.TotalTests)
-	}
+	for name, rewrite := range map[string]func(*corpus.ExecEntry) error{
+		"as-written": toEmptyBase,
+		"identical": func(ent *corpus.ExecEntry) error {
+			sameSnapshots(ent)
+			return toEmptyBase(ent)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := resumeCfg(t.TempDir())
+			cold, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rewritten := rewriteExecEntries(t, cfg.CorpusDir, rewrite); rewritten != cold.TotalTests || rewritten == 0 {
+				t.Fatalf("rewrote %d exec entries, want %d", rewritten, cold.TotalTests)
+			}
 
-	warm, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Cache.ExecDecodeFailed != cold.TotalTests || warm.Cache.ExecHits != 0 {
-		t.Errorf("decode failures %d, exec hits %d, want %d/0 (every entry re-executed)",
-			warm.Cache.ExecDecodeFailed, warm.Cache.ExecHits, cold.TotalTests)
-	}
-	if !reflect.DeepEqual(warm.Differences, cold.Differences) {
-		t.Errorf("re-executed run found %d differences, cold run %d",
-			len(warm.Differences), len(cold.Differences))
-	}
-	again, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Cache.ExecHits != cold.TotalTests || again.Cache.ExecDecodeFailed != 0 {
-		t.Errorf("after repair: hits %d, decode failures %d, want %d/0",
-			again.Cache.ExecHits, again.Cache.ExecDecodeFailed, cold.TotalTests)
-	}
-	if cs, ws := cold.Summary(), again.Summary(); cs != ws {
-		t.Errorf("repaired summary drifted:\ncold:\n%s\nrepaired:\n%s", cs, ws)
+			warm, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Cache.ExecDecodeFailed != cold.TotalTests || warm.Cache.ExecHits != 0 {
+				t.Errorf("decode failures %d, exec hits %d, want %d/0 (every entry re-executed)",
+					warm.Cache.ExecDecodeFailed, warm.Cache.ExecHits, cold.TotalTests)
+			}
+			if warm.Degraded.CorpusReads != cold.TotalTests {
+				t.Errorf("Degraded.CorpusReads = %d, want %d", warm.Degraded.CorpusReads, cold.TotalTests)
+			}
+			if !reflect.DeepEqual(warm.Differences, cold.Differences) {
+				t.Errorf("re-executed run found %d differences, cold run %d",
+					len(warm.Differences), len(cold.Differences))
+			}
+			checkRepaired(t, cfg, cold)
+		})
 	}
 }

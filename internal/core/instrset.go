@@ -14,14 +14,6 @@ import (
 	"pokeemu/internal/x86"
 )
 
-// Candidate is one byte sequence the decoder accepts, discovered on a
-// distinct decoder path.
-type Candidate struct {
-	Bytes  [3]byte
-	Spec   *x86.OpSpec
-	OpSize int
-}
-
 // UniqueInstr is one per-instruction implementation (the unit of "unique
 // instruction" in Section 6.1): a distinct handler at a distinct operand
 // size, with one representative byte sequence selected from its partition
@@ -42,7 +34,9 @@ func (u *UniqueInstr) Key() string {
 
 // InstrSetResult is the outcome of instruction-set exploration.
 type InstrSetResult struct {
-	Candidates []Candidate
+	// Candidates counts the byte sequences the decoder accepts, each found
+	// on a distinct decoder path.
+	Candidates int
 	Unique     []*UniqueInstr
 	// ExploredPaths counts decoder paths followed, valid or not — the
 	// measure of how far the 2²⁴ raw three-byte space was cut down.
@@ -55,26 +49,40 @@ type InstrSetResult struct {
 // (x86.NextByteRole): dispatch bytes are enumerated, the SIB byte
 // contributes its single two-way displacement predicate, and
 // immediate/displacement bytes are fixed at the concrete zero. Every
-// completed walk is one decoder path; valid paths become candidates, and
-// one representative is kept per per-instruction implementation.
+// completed walk is one decoder path; valid paths are counted as
+// candidates, and one representative is kept per per-instruction
+// implementation.
 //
 // The walk makes no per-path garbage: it moves through one instruction
-// buffer in place and decodes it into one reused Inst, so only decode
-// errors, candidates and representatives allocate.
+// buffer in place and decodes it into an Inst on the stack, so only decode
+// errors and representatives allocate (and clearing the Inst for each
+// decode is a stack write, which the garbage collector's write barrier
+// never sees).
 func ExploreInstructionSet() *InstrSetResult {
-	w := &instrWalker{uniq: make(map[uniqKey]*UniqueInstr, 1024)}
-	// The decoder tables yield ~206k candidates; one up-front allocation
-	// spares the ~20 MB that growing the slice by appends would copy.
-	w.res.Candidates = make([]Candidate, 0, 1<<18)
+	return exploreInstructionSet(nil)
+}
+
+// exploreInstructionSet runs the walk, handing every candidate's first
+// three bytes, spec and operand size to visit when it is non-nil.
+func exploreInstructionSet(visit func(b [3]byte, spec *x86.OpSpec, opSize int)) *InstrSetResult {
+	w := &instrWalker{
+		visit:  visit,
+		bySpec: make(map[*x86.OpSpec]*nameCell, 1024),
+		byName: make(map[string]*nameCell, 1024),
+	}
 	w.walk(0)
 
 	type keyed struct {
 		key string
 		u   *UniqueInstr
 	}
-	sorted := make([]keyed, 0, len(w.uniq))
-	for _, u := range w.uniq {
-		sorted = append(sorted, keyed{u.Key(), u})
+	sorted := make([]keyed, 0, 2*len(w.byName))
+	for _, cell := range w.byName {
+		for _, u := range cell {
+			if u != nil {
+				sorted = append(sorted, keyed{u.Key(), u})
+			}
+		}
 	}
 	slices.SortFunc(sorted, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
 	w.res.Unique = make([]*UniqueInstr, len(sorted))
@@ -84,19 +92,23 @@ func ExploreInstructionSet() *InstrSetResult {
 	return &w.res
 }
 
-// uniqKey partitions decoded instructions exactly as UniqueInstr.Key does,
-// without building the key string per path.
-type uniqKey struct {
-	name string
-	op16 bool
-}
+// nameCell holds one handler name's representatives, indexed by whether
+// the operand size is 16: the partition UniqueInstr.Key draws.
+type nameCell [2]*UniqueInstr
 
 // instrWalker is one instruction-set exploration's state.
 type instrWalker struct {
-	buf  [x86.MaxInstLen]byte // the walked prefix; every byte past it is zero
-	inst x86.Inst             // reused decode target; Raw aliases buf
-	res  InstrSetResult
-	uniq map[uniqKey]*UniqueInstr
+	buf   [x86.MaxInstLen]byte // the walked prefix; every byte past it is zero
+	res   InstrSetResult
+	visit func(b [3]byte, spec *x86.OpSpec, opSize int)
+
+	// A candidate's cell is found by its spec pointer, not its name: each
+	// distinct spec is resolved to its name's cell once (specs may share a
+	// name), and runs of candidates with one spec reuse the last lookup.
+	bySpec   map[*x86.OpSpec]*nameCell
+	byName   map[string]*nameCell
+	lastSpec *x86.OpSpec
+	lastCell *nameCell
 }
 
 // walk branches on the byte at position depth of buf.
@@ -127,17 +139,42 @@ func (w *instrWalker) walk(depth int) {
 // try decodes the buffer as one completed decoder path.
 func (w *instrWalker) try() {
 	w.res.ExploredPaths++
-	inst := &w.inst
-	if x86.DecodeInto(w.buf[:], inst) != nil {
+	var inst x86.Inst // Raw aliases buf
+	if x86.DecodeInto(w.buf[:], &inst) != nil {
 		return
 	}
-	c := Candidate{Spec: inst.Spec, OpSize: inst.OpSize}
-	copy(c.Bytes[:], w.buf[:3])
-	w.res.Candidates = append(w.res.Candidates, c)
-	k := uniqKey{inst.Spec.Name, inst.OpSize == 16}
-	if prev, ok := w.uniq[k]; !ok || inst.Len < len(prev.Repr) {
+	w.res.Candidates++
+	if w.visit != nil {
+		w.visit([3]byte(w.buf[:3]), inst.Spec, inst.OpSize)
+	}
+	slot := &w.cell(inst.Spec)[b2i(inst.OpSize == 16)]
+	if prev := *slot; prev == nil || inst.Len < len(prev.Repr) {
 		// Keep the shortest representative of the cell, in its own memory:
 		// inst.Raw is the walk's buffer.
-		w.uniq[k] = &UniqueInstr{Spec: inst.Spec, OpSize: inst.OpSize, Repr: bytes.Clone(inst.Raw)}
+		*slot = &UniqueInstr{Spec: inst.Spec, OpSize: inst.OpSize, Repr: bytes.Clone(inst.Raw)}
 	}
+}
+
+// cell returns the representatives' cell of spec's handler name.
+func (w *instrWalker) cell(spec *x86.OpSpec) *nameCell {
+	if spec == w.lastSpec {
+		return w.lastCell
+	}
+	c, ok := w.bySpec[spec]
+	if !ok {
+		if c, ok = w.byName[spec.Name]; !ok {
+			c = new(nameCell)
+			w.byName[spec.Name] = c
+		}
+		w.bySpec[spec] = c
+	}
+	w.lastSpec, w.lastCell = spec, c
+	return c
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

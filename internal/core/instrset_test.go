@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"testing"
 	"unsafe"
@@ -9,12 +10,22 @@ import (
 	"pokeemu/internal/x86"
 )
 
+// candidate is one byte sequence the decoder accepts, in the order the
+// walk finds it.
+type candidate struct {
+	Bytes  [3]byte
+	Spec   *x86.OpSpec
+	OpSize int
+}
+
 // referenceExploreInstructionSet is the straightforward exploration the
 // in-place walker replaced: a fresh buffer and a heap Inst per path, a
-// copied prefix per DFS node, and a UniqueInstr plus a Key string per valid
-// path. ExploreInstructionSet must reproduce it exactly.
-func referenceExploreInstructionSet() *InstrSetResult {
+// copied prefix per DFS node, a list of every candidate, and a UniqueInstr
+// plus a Key string per valid path. ExploreInstructionSet must reproduce it
+// exactly.
+func referenceExploreInstructionSet() (*InstrSetResult, []candidate) {
 	res := &InstrSetResult{}
+	var cands []candidate
 	uniq := make(map[string]*UniqueInstr)
 
 	try := func(chosen []byte) {
@@ -25,11 +36,12 @@ func referenceExploreInstructionSet() *InstrSetResult {
 		if err != nil {
 			return
 		}
-		var c Candidate
+		var c candidate
 		copy(c.Bytes[:], full[:3])
 		c.Spec = inst.Spec
 		c.OpSize = inst.OpSize
-		res.Candidates = append(res.Candidates, c)
+		cands = append(cands, c)
+		res.Candidates++
 		u := &UniqueInstr{Spec: inst.Spec, OpSize: inst.OpSize, Repr: full[:inst.Len]}
 		if prev, ok := uniq[u.Key()]; !ok || len(u.Repr) < len(prev.Repr) {
 			uniq[u.Key()] = u
@@ -62,19 +74,25 @@ func referenceExploreInstructionSet() *InstrSetResult {
 	sort.Slice(res.Unique, func(i, j int) bool {
 		return res.Unique[i].Key() < res.Unique[j].Key()
 	})
-	return res
+	return res, cands
 }
 
 func TestInstrSetMatchesReference(t *testing.T) {
-	got, want := ExploreInstructionSet(), referenceExploreInstructionSet()
+	got := ExploreInstructionSet()
+	var gotCands []candidate
+	exploreInstructionSet(func(b [3]byte, spec *x86.OpSpec, opSize int) {
+		gotCands = append(gotCands, candidate{b, spec, opSize})
+	})
+	want, wantCands := referenceExploreInstructionSet()
 	if got.ExploredPaths != want.ExploredPaths {
 		t.Errorf("ExploredPaths = %d, want %d", got.ExploredPaths, want.ExploredPaths)
 	}
-	if len(got.Candidates) != len(want.Candidates) {
-		t.Fatalf("%d candidates, want %d", len(got.Candidates), len(want.Candidates))
+	if got.Candidates != want.Candidates || len(gotCands) != len(wantCands) {
+		t.Fatalf("%d candidates (%d visited), want %d (%d listed)",
+			got.Candidates, len(gotCands), want.Candidates, len(wantCands))
 	}
-	for i, c := range got.Candidates {
-		if w := want.Candidates[i]; c != w {
+	for i, c := range gotCands {
+		if w := wantCands[i]; c != w {
 			t.Fatalf("candidate %d = {% x %s %d}, want {% x %s %d}",
 				i, c.Bytes, c.Spec.Name, c.OpSize, w.Bytes, w.Spec.Name, w.OpSize)
 		}
@@ -108,9 +126,17 @@ func TestInstrSetMatchesReference(t *testing.T) {
 
 // TestInstrSetAllocs pins the walk's garbage: the reference makes ~1.12 M
 // allocations per exploration; the walker's are almost all the decode
-// errors of invalid paths.
+// errors of invalid paths, and it keeps no per-candidate list.
 func TestInstrSetAllocs(t *testing.T) {
-	if n := testing.AllocsPerRun(1, func() { ExploreInstructionSet() }); n >= 30000 {
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	n := testing.AllocsPerRun(1, func() { ExploreInstructionSet() })
+	runtime.ReadMemStats(&ms1)
+	if n >= 30000 {
 		t.Errorf("ExploreInstructionSet makes %.0f allocations, want < 30000", n)
+	}
+	// AllocsPerRun calls the function twice (a warm-up and the measured run).
+	if perRun := (ms1.TotalAlloc - ms0.TotalAlloc) / 2; perRun >= 1<<20 {
+		t.Errorf("ExploreInstructionSet allocates %d bytes, want < 1 MiB", perRun)
 	}
 }

@@ -20,10 +20,12 @@
 // (temp file + rename), so concurrent campaign workers and interrupted runs
 // never leave a torn entry behind.
 //
-// Entries are JSON, except executed-test outcomes: their payload is three
-// encoded machine snapshots, so each is one binary exec record (see
-// EncodeExecEntry) under the same object path. A record is read in one
-// buffer that the outcome's snapshot bytes alias. The campaign decodes
+// Entries are JSON, except the two a warm rerun reads for every
+// instruction and every test: an instruction's generated tests are one
+// binary instr record (see EncodeInstrEntry), and an executed test's
+// outcomes, three encoded machine snapshots, are one binary exec record
+// (see EncodeExecEntry), both under the same object path. A record is read
+// in one buffer that its programs or snapshot bytes alias. The campaign decodes
 // those snapshots into pooled pages, compares them, and releases them
 // inside the execute task that read the entry: a decoded snapshot dies at
 // the end of its execute task.
@@ -40,6 +42,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -281,7 +284,9 @@ type InstrKey struct {
 	GenVersion   int `json:"gen_version"`
 }
 
-// Hash returns the content address of the key.
+// Hash returns the content address of the key. The instr record version
+// takes part, so an instr object an older build stored (as JSON, or in an
+// earlier record version) misses and is re-explored.
 func (k InstrKey) Hash() string {
 	return hashKey("instr",
 		k.Handler,
@@ -291,6 +296,7 @@ func (k InstrKey) Hash() string {
 		k.Config,
 		strconv.Itoa(k.SymexVersion),
 		strconv.Itoa(k.GenVersion),
+		"record"+strconv.Itoa(instrRecordVersion),
 	)
 }
 
@@ -334,21 +340,213 @@ type InstrEntry struct {
 }
 
 // GetInstr looks up the entry for k. The stored key must match k exactly
-// (hash collisions and hand-edited objects miss).
+// (hash collisions and hand-edited objects miss). Every Prog aliases the
+// one buffer the object was read into.
 func (c *Corpus) GetInstr(k InstrKey) (*InstrEntry, bool) {
-	var e InstrEntry
-	if !c.get(k.Hash(), &e) {
+	var e *InstrEntry
+	if !c.load(k.Hash(), func(b []byte) (err error) {
+		e, err = DecodeInstrEntry(b)
+		return err
+	}) {
 		return nil, false
 	}
 	if e.Key != k {
 		return nil, false
 	}
-	return &e, true
+	return e, true
 }
 
 // PutInstr stores the entry under its key.
 func (c *Corpus) PutInstr(e *InstrEntry) error {
-	return c.put(e.Key.Hash(), e)
+	b, err := EncodeInstrEntry(e)
+	if err != nil {
+		return fmt.Errorf("corpus: encoding %s: %w", e.Key.Hash(), err)
+	}
+	return c.store(e.Key.Hash(), b)
+}
+
+// Instr record format. An instruction's entry is stored as one binary
+// record, not JSON: JSON would carry every program as base64 and every
+// model as a string-keyed object, and decoding that dominated a warm
+// rerun's corpus reads. Integers are little endian; str16 is a u16 length
+// plus the bytes; a flag is one byte, 0 or 1.
+//
+//	"PKIN" magic, u16 record version (instrRecordVersion)
+//	key: str16 Handler, i64 PathCap, i64 MaxSteps, i64 Seed,
+//	  str16 Config, i64 SymexVersion, i64 GenVersion
+//	str16 HandlerName, str16 Mnemonic
+//	i64 Paths, flag Exhausted, i64 Queries, i64 Generated, i64 GenFailed,
+//	i64 InitFault
+//	u32 test count, then per test:
+//	  str16 ID, i64 PathIndex
+//	  u8 Kind, u8 Vector, u32 ErrCode, flag HasErr, flag Soft
+//	  u32 diff count, then per diff in strictly increasing key order:
+//	    str16 key, u64 value
+//	  u32 length + Prog bytes, i64 TestOffset
+//
+// A record has exactly one encoding: decoding rejects trailing bytes, flag
+// bytes other than 0 and 1, and diff keys out of order or repeated. An
+// empty test list, diff map or program decodes as nil, as the campaign
+// writes them (a JSON round trip, too, turns an empty diff map into nil).
+const (
+	instrMagic         = "PKIN"
+	instrRecordVersion = 1
+
+	// Fewest bytes one test and one diff take, to bound a count by the
+	// bytes left before allocating for it.
+	minInstrTest = 2 + 8 + 1 + 1 + 4 + 1 + 1 + 4 + 4 + 8
+	minInstrDiff = 2 + 8
+)
+
+// EncodeInstrEntry renders e as an instr record. Strings longer than
+// 65,535 bytes, and more tests, diffs or program bytes than a u32 holds,
+// are errors.
+func EncodeInstrEntry(e *InstrEntry) ([]byte, error) {
+	var w recordWriter
+	w.b = append(w.b, instrMagic...)
+	w.u16(instrRecordVersion)
+	k := &e.Key
+	w.str16(k.Handler)
+	w.i64(int64(k.PathCap))
+	w.i64(int64(k.MaxSteps))
+	w.i64(k.Seed)
+	w.str16(k.Config)
+	w.i64(int64(k.SymexVersion))
+	w.i64(int64(k.GenVersion))
+	w.str16(e.HandlerName)
+	w.str16(e.Mnemonic)
+	w.i64(int64(e.Paths))
+	w.flag(e.Exhausted)
+	w.i64(e.Queries)
+	w.i64(int64(e.Generated))
+	w.i64(int64(e.GenFailed))
+	w.i64(int64(e.InitFault))
+	w.u32(len(e.Tests))
+	var keys []string
+	for i := range e.Tests {
+		t := &e.Tests[i]
+		w.str16(t.ID)
+		w.i64(int64(t.PathIndex))
+		w.b = append(w.b, t.Outcome.Kind, t.Outcome.Vector)
+		w.b = binary.LittleEndian.AppendUint32(w.b, t.Outcome.ErrCode)
+		w.flag(t.Outcome.HasErr)
+		w.flag(t.Outcome.Soft)
+		keys = keys[:0]
+		for key := range t.Diffs {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		w.u32(len(keys))
+		for _, key := range keys {
+			w.str16(key)
+			w.b = binary.LittleEndian.AppendUint64(w.b, t.Diffs[key])
+		}
+		w.u32(len(t.Prog))
+		w.b = append(w.b, t.Prog...)
+		w.i64(int64(t.TestOffset))
+	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.b, nil
+}
+
+// errInstrRecord is the error every malformed instr record decodes to.
+var errInstrRecord = errors.New("corpus: malformed instr record")
+
+// DecodeInstrEntry parses an instr record. Every Prog aliases b (capacity
+// capped at its length); arbitrary bytes never panic, they fail.
+func DecodeInstrEntry(b []byte) (*InstrEntry, error) {
+	r := recordReader{b: b}
+	if string(r.take(len(instrMagic))) != instrMagic || r.u16() != instrRecordVersion {
+		return nil, errInstrRecord
+	}
+	e := &InstrEntry{}
+	k := &e.Key
+	k.Handler = r.str16()
+	k.PathCap = int(r.u64())
+	k.MaxSteps = int(r.u64())
+	k.Seed = int64(r.u64())
+	k.Config = r.str16()
+	k.SymexVersion = int(r.u64())
+	k.GenVersion = int(r.u64())
+	e.HandlerName = r.str16()
+	e.Mnemonic = r.str16()
+	e.Paths = int(r.u64())
+	e.Exhausted = r.flag()
+	e.Queries = int64(r.u64())
+	e.Generated = int(r.u64())
+	e.GenFailed = int(r.u64())
+	e.InitFault = int(r.u64())
+	if n := r.count(minInstrTest); n > 0 {
+		e.Tests = make([]CachedTest, n)
+	}
+	for i := range e.Tests {
+		t := &e.Tests[i]
+		t.ID = r.str16()
+		t.PathIndex = int(r.u64())
+		t.Outcome.Kind = r.u8()
+		t.Outcome.Vector = r.u8()
+		t.Outcome.ErrCode = r.u32()
+		t.Outcome.HasErr = r.flag()
+		t.Outcome.Soft = r.flag()
+		if n := r.count(minInstrDiff); n > 0 {
+			t.Diffs = make(map[string]uint64, n)
+			prev := ""
+			for j := 0; j < n && !r.bad; j++ {
+				key := r.str16()
+				if j > 0 && key <= prev {
+					r.bad = true
+				}
+				t.Diffs[key] = r.u64()
+				prev = key
+			}
+		}
+		if p := r.take(int(r.u32())); len(p) > 0 {
+			t.Prog = p
+		}
+		t.TestOffset = int(r.u64())
+	}
+	if r.bad || len(r.b) != 0 {
+		return nil, errInstrRecord
+	}
+	return e, nil
+}
+
+// recordWriter appends little-endian record fields. A field too long for
+// its length prefix sets err and is dropped.
+type recordWriter struct {
+	b   []byte
+	err error
+}
+
+func (w *recordWriter) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
+func (w *recordWriter) i64(v int64)  { w.b = binary.LittleEndian.AppendUint64(w.b, uint64(v)) }
+
+// u32 appends a count or length.
+func (w *recordWriter) u32(n int) {
+	if int64(n) > math.MaxUint32 {
+		w.err = fmt.Errorf("record: %d elements overflow a u32 length", n)
+		return
+	}
+	w.b = binary.LittleEndian.AppendUint32(w.b, uint32(n))
+}
+
+func (w *recordWriter) str16(s string) {
+	if len(s) > math.MaxUint16 {
+		w.err = fmt.Errorf("record: string %.32q overflows a u16 length", s)
+		return
+	}
+	w.u16(uint16(len(s)))
+	w.b = append(w.b, s...)
+}
+
+func (w *recordWriter) flag(v bool) {
+	if v {
+		w.b = append(w.b, 1)
+	} else {
+		w.b = append(w.b, 0)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -555,8 +753,8 @@ func DecodeExecEntry(b []byte) (*ExecEntry, error) {
 	return e, nil
 }
 
-// recordReader reads little-endian exec record fields. After the first
-// short read every field reads as zero and bad is set.
+// recordReader reads little-endian exec and instr record fields. After
+// the first short read every field reads as zero and bad is set.
 type recordReader struct {
 	b   []byte
 	bad bool
@@ -598,6 +796,32 @@ func (r *recordReader) u64() uint64 {
 		return binary.LittleEndian.Uint64(p)
 	}
 	return 0
+}
+
+func (r *recordReader) str16() string { return string(r.take(int(r.u16()))) }
+
+// flag reads a 0 or 1 byte; any other value is malformed.
+func (r *recordReader) flag() bool {
+	switch r.u8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	r.bad = true
+	return false
+}
+
+// count reads a u32 element count whose elements take at least size bytes
+// each; a count the remaining bytes cannot hold is malformed and reads as
+// zero, so no decoder allocates for elements that are not there.
+func (r *recordReader) count(size int) int {
+	n := int(r.u32())
+	if r.bad || n > len(r.b)/size {
+		r.bad = true
+		return 0
+	}
+	return n
 }
 
 // ---------------------------------------------------------------------------

@@ -115,11 +115,17 @@ func TestCorruptObjectIsMiss(t *testing.T) {
 	}
 	hash := testKey("push_r").Hash()
 	path := filepath.Join(dir, "objects", hash[:2], hash+".json")
-	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
+	good, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.GetInstr(testKey("push_r")); ok {
-		t.Error("corrupt object should miss")
+	for _, torn := range [][]byte{[]byte("{torn"), good[:len(good)/2], good[:len(good)-1]} {
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.GetInstr(testKey("push_r")); ok {
+			t.Errorf("corrupt object (%d of %d bytes) should miss", len(torn), len(good))
+		}
 	}
 	// Recompute-and-overwrite restores it.
 	if err := c.PutInstr(testEntry("push_r")); err != nil {

@@ -89,8 +89,13 @@ var (
 // after applying the filter. Memory is compared over the union of pages
 // either run touched (both runs start from the same shared image), a page
 // at a time; only a page whose contents differ is scanned byte by byte.
-// Comparing equal snapshots that touched few pages allocates nothing.
+// Comparing equal snapshots that touched few pages allocates nothing, and
+// a snapshot compared with itself (a cached trio's members with equal
+// bytes share one) costs nothing: a state always equals itself.
 func Compare(a, b *machine.Snapshot, f Filter) []FieldDiff {
+	if a == b {
+		return nil
+	}
 	var out []FieldDiff
 	add := func(field string, av, bv uint64) {
 		if av != bv {

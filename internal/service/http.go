@@ -229,11 +229,23 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// maxBodyBytes caps every request body the daemon reads.
+const maxBodyBytes = 1 << 20
+
+// decodeSubmit reads a submit body: one Request of at most maxBodyBytes,
+// with no field the schema lacks. w, when non-nil, is told to close the
+// connection once the body runs over the cap.
+func decodeSubmit(w http.ResponseWriter, body io.ReadCloser) (Request, error) {
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeSubmit(w, r.Body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
@@ -489,7 +501,7 @@ func (s *Server) handleBaselineGet(w http.ResponseWriter, r *http.Request) {
 // versioned baseline format (as served by GET /v1/baseline or suggested by
 // the triage endpoint); jobs submitted afterwards partition against it.
 func (s *Server) handleBaselinePut(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
