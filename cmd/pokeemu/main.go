@@ -234,8 +234,9 @@ func runTrace(w io.Writer, impl string, prog []byte, steps int) error {
 	e := factory.New(m)
 
 	prev := m.CPU
+	var fetch [x86.MaxInstLen]byte
 	for i := 0; i < steps; i++ {
-		code, _ := m.FetchCode(x86.MaxInstLen)
+		code, _ := m.FetchCode(fetch[:0], x86.MaxInstLen)
 		dis := "(fetch fault)"
 		if inst, err := x86.Decode(code); err == nil {
 			dis = x86.Disasm(inst)

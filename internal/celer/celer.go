@@ -63,10 +63,12 @@ type Cache struct {
 // NewCache returns an empty translation cache.
 func NewCache() *Cache { return &Cache{tbs: make(map[string]*TB)} }
 
-func (c *Cache) lookup(key string) (*TB, bool) {
+// lookup finds the translation under key without allocating; only insert
+// copies a key into the map.
+func (c *Cache) lookup(key []byte) (*TB, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	tb, ok := c.tbs[key]
+	tb, ok := c.tbs[string(key)]
 	if ok {
 		c.Hits++
 	} else {
@@ -75,10 +77,10 @@ func (c *Cache) lookup(key string) (*TB, bool) {
 	return tb, ok
 }
 
-func (c *Cache) insert(key string, tb *TB) {
+func (c *Cache) insert(key []byte, tb *TB) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tbs[key] = tb
+	c.tbs[string(key)] = tb
 }
 
 // Emulator is one guest instance of the Lo-Fi emulator.
@@ -90,6 +92,9 @@ type Emulator struct {
 	// stays the source of truth; these are per-guest prediction structures.
 	chain   [chainSlots]*chainEntry
 	lastEnt *chainEntry
+
+	fetch [x86.MaxInstLen]byte     // instruction fetch buffer
+	key   [x86.MaxInstLen + 1]byte // translation-cache key buffer (tbKey)
 }
 
 // New creates a guest with a private translation cache.
@@ -174,13 +179,10 @@ func transState(m *machine.Machine) byte {
 	return st
 }
 
-// tbKey builds the translation-cache key: the raw bytes plus the state
-// byte they were decoded under.
-func tbKey(code []byte, st byte) string {
-	k := make([]byte, len(code)+1)
-	copy(k, code)
-	k[len(code)] = st
-	return string(k)
+// tbKey builds the translation-cache key in dst's storage: the raw bytes
+// plus the state byte they were decoded under.
+func tbKey(dst, code []byte, st byte) []byte {
+	return append(append(dst[:0], code...), st)
 }
 
 // translateTB resolves one instruction to a TB through the shared cache,
@@ -188,7 +190,7 @@ func tbKey(code []byte, st byte) string {
 // architecture would raise; fexc is the pending fetch fault when the code
 // bytes were truncated by it.
 func (e *Emulator) translateTB(code []byte, st byte, fexc *machine.ExceptionInfo) (*TB, *fault) {
-	key := tbKey(code, st)
+	key := tbKey(e.key[:0], code, st)
 	if tb, ok := e.cache.lookup(key); ok {
 		return tb, nil
 	}

@@ -38,7 +38,7 @@ func (e *Emulator) Step() emu.Event {
 	if m.Halted {
 		return emu.Event{Kind: emu.EventHalt}
 	}
-	code, fexc := m.FetchCode(x86.MaxInstLen)
+	code, fexc := m.FetchCode(e.fetch[:0], x86.MaxInstLen)
 	st := transState(m)
 	eip := m.EIP
 

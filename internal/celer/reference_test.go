@@ -19,7 +19,7 @@ func (r refEmulator) Step() emu.Event {
 	if m.Halted {
 		return emu.Event{Kind: emu.EventHalt}
 	}
-	code, fexc := m.FetchCode(x86.MaxInstLen)
+	code, fexc := m.FetchCode(e.fetch[:0], x86.MaxInstLen)
 	tb, f := e.translateTB(code, transState(m), fexc)
 	if f != nil {
 		return e.deliver(f)

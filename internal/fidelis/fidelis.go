@@ -5,9 +5,9 @@
 // architectural check and commits instruction effects in the hardware
 // order, so instructions are atomic with respect to faults.
 //
-// Its IR bodies are the artifact the symbolic exploration executes: testing
-// fidelis symbolically and lifting the results onto the Lo-Fi emulator is
-// the paper's core loop.
+// Its IR bodies come from the same sem.Compile the symbolic exploration
+// executes: testing those bodies symbolically and lifting the results onto
+// the Lo-Fi emulator is the paper's core loop.
 //
 // Two deliberate low-level divergences from the hardware oracle are
 // configured via sem.BochsConfig, mirroring real Bochs-vs-CPU differences
@@ -32,9 +32,10 @@ const stepBudget = 1 << 22
 
 // Cache holds compiled instruction IR bodies keyed by instruction bytes.
 // The interpreter itself uses a private cache per guest (like Bochs, it owns
-// no persistent translations of guest code); the hardware simulator shares
-// one across guests since silicon needs no translation at all — this is
-// what gives the hardware its per-test cost advantage in the cost-profile
+// no persistent translations of guest code), whose bodies live in the
+// guest's own ir.Arena until Release; the hardware simulator shares one
+// across guests since silicon needs no translation at all — this is what
+// gives the hardware its per-test cost advantage in the cost-profile
 // benchmarks. Exception delivery is not in here: it is the emulator's own
 // microcode, not a translation of guest bytes, and sem.CompileDelivery
 // memoizes it process-wide for every emulator alike.
@@ -63,31 +64,38 @@ func (c *Cache) Len() int {
 	return len(c.progs)
 }
 
-func (c *Cache) lookup(key string) (*ir.Program, bool) {
+// lookup finds the body under key without allocating; only insert copies
+// a key into the map.
+func (c *Cache) lookup(key []byte) (*ir.Program, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.progs[key]
+	p, ok := c.progs[string(key)]
 	if ok {
 		c.hits.Add(1)
 	}
 	return p, ok
 }
 
-func (c *Cache) insert(key string, p *ir.Program) {
+func (c *Cache) insert(key []byte, p *ir.Program) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.max > 0 && len(c.progs) >= c.max {
 		c.progs = make(map[string]*ir.Program)
 	}
-	c.progs[key] = p
+	c.progs[string(key)] = p
 }
 
 // Emulator is the Hi-Fi interpreter.
 type Emulator struct {
 	m     *machine.Machine
 	cfg   sem.Config
-	cache *Cache
+	cache *Cache    // nil once released
+	arena *ir.Arena // the private cache's bodies; nil with a shared cache
 	cov   *coverage.Map
+
+	// Step's fetch buffer and decoded instruction, reused every step.
+	fetch [x86.MaxInstLen]byte
+	inst  x86.Inst
 
 	// Decoded counts instructions executed.
 	Decoded int64
@@ -102,12 +110,24 @@ func New(m *machine.Machine) *Emulator {
 // NewWithConfig allows a custom semantics configuration (the hardware
 // undefined-flag policy, for instance).
 func NewWithConfig(m *machine.Machine, cfg sem.Config) *Emulator {
-	return &Emulator{m: m, cfg: cfg, cache: NewCache()}
+	return &Emulator{m: m, cfg: cfg, cache: NewCache(), arena: ir.NewArena()}
 }
 
 // NewShared wraps a machine sharing a program cache across guests.
 func NewShared(m *machine.Machine, cfg sem.Config, cache *Cache) *Emulator {
 	return &Emulator{m: m, cfg: cfg, cache: cache}
+}
+
+// Release ends the guest: it drops the private cache and returns the arena
+// its bodies live in to the pool, where the next guest overwrites them. A
+// shared cache is left as it is. Step panics afterwards rather than run a
+// recycled body; Release is idempotent.
+func (e *Emulator) Release() {
+	if e.arena != nil {
+		e.arena.Release()
+		e.arena = nil
+	}
+	e.cache = nil
 }
 
 // CacheHits reports translation-cache reuse.
@@ -139,29 +159,37 @@ func (e *Emulator) Machine() *machine.Machine { return e.m }
 // Config returns the semantics configuration in use.
 func (e *Emulator) Config() sem.Config { return e.cfg }
 
-// Program returns the compiled IR for an instruction, using the translation
-// cache. Exposed so the exploration engine can execute exactly the bodies
-// this emulator runs.
-func (e *Emulator) Program(inst *x86.Inst) *ir.Program {
-	key := string(inst.Raw)
-	if p, ok := e.cache.lookup(key); ok {
+// program returns the compiled IR for an instruction, using the translation
+// cache: a private cache compiles into the guest's arena, a shared one gets
+// bodies that own their memory.
+func (e *Emulator) program(inst *x86.Inst) *ir.Program {
+	if p, ok := e.cache.lookup(inst.Raw); ok {
 		return p
 	}
-	p := sem.Compile(inst, e.cfg)
-	e.cache.insert(key, p)
+	var p *ir.Program
+	if e.arena != nil {
+		p = sem.CompileIn(inst, e.cfg, e.arena)
+	} else {
+		p = sem.Compile(inst, e.cfg)
+	}
+	e.cache.insert(inst.Raw, p)
 	return p
 }
 
-// Step implements emu.Emulator: fetch, decode, execute, deliver.
+// Step implements emu.Emulator: fetch, decode, execute, deliver. A step
+// whose body is cached allocates nothing.
 func (e *Emulator) Step() emu.Event {
+	if e.cache == nil {
+		panic("fidelis: Step after Release")
+	}
 	m := e.m
 	if m.Halted {
 		return emu.Event{Kind: emu.EventHalt}
 	}
 
-	code, fexc := m.FetchCode(x86.MaxInstLen)
-	inst, derr := x86.Decode(code)
-	if derr != nil {
+	code, fexc := m.FetchCode(e.fetch[:0], x86.MaxInstLen)
+	inst := &e.inst
+	if derr := x86.DecodeInto(code, inst); derr != nil {
 		de := derr.(*x86.DecodeError)
 		switch {
 		case de.Kind == x86.ErrTruncated && fexc != nil:
@@ -175,7 +203,7 @@ func (e *Emulator) Step() emu.Event {
 	}
 	e.Decoded++
 
-	prog := e.Program(inst)
+	prog := e.program(inst)
 	out, err := e.runProg(prog, stepBudget)
 	if err != nil {
 		return emu.Event{Kind: emu.EventTimeout}

@@ -683,18 +683,18 @@ func TestBoundedCache(t *testing.T) {
 		return in
 	}
 	for imm := uint32(0); imm < 3*max+1; imm++ {
-		p := e.Program(inst(imm))
+		p := e.program(inst(imm))
 		if n := cache.Len(); n > max || n != int(imm)%max+1 {
 			t.Fatalf("after %d inserts: len %d (cap %d)", imm+1, n, max)
 		}
 		hits := e.CacheHits()
-		if e.Program(inst(imm)) != p || e.CacheHits() != hits+1 {
+		if e.program(inst(imm)) != p || e.CacheHits() != hits+1 {
 			t.Fatalf("insert %d: repeat lookup missed", imm+1)
 		}
 	}
 	// The last reset dropped the earliest bodies: a lookup recompiles them.
 	hits := e.CacheHits()
-	e.Program(inst(0))
+	e.program(inst(0))
 	if e.CacheHits() != hits {
 		t.Error("a body dropped by the reset was served")
 	}
@@ -794,5 +794,98 @@ func TestWalkMatchesConcreteTranslate(t *testing.T) {
 				t.Fatalf("iter %d: PTE after walk %#x vs %#x", iter, a, b)
 			}
 		}
+	}
+}
+
+// countedLoop is a guest that steps add/loop until ECX runs out, then
+// halts: three distinct instruction encodings besides the two movs.
+func countedLoop(iters uint32) []byte {
+	var code []byte
+	for _, part := range [][]byte{
+		x86.AsmMovRegImm32(x86.EAX, 0),
+		x86.AsmMovRegImm32(x86.ECX, iters),
+		{0x01, 0xc8}, // add eax, ecx
+		{0xe2, 0xfc}, // loop add
+		x86.AsmHlt(),
+	} {
+		code = append(code, part...)
+	}
+	return code
+}
+
+// stepToHalt steps e until the guest halts.
+func stepToHalt(t *testing.T, e *Emulator) {
+	t.Helper()
+	for i := 0; i < 10000; i++ {
+		if ev := e.Step(); ev.Kind == emu.EventHalt {
+			return
+		}
+	}
+	t.Fatal("program did not halt")
+}
+
+// TestCompilesOncePerGuest pins the cost model the E6 profile measures: a
+// private-cache guest compiles each distinct instruction once, and the
+// next guest compiles all of them again, while guests on a shared cache
+// (the hardware model) compile them once between them.
+func TestCompilesOncePerGuest(t *testing.T) {
+	const distinct = 5 // mov, mov, add, loop, hlt
+	code := countedLoop(50)
+	guest := func(newEmu func(*machine.Machine) *Emulator) int64 {
+		m := machine.NewBaseline(nil)
+		m.Mem.WriteBytes(machine.CodeBase, code)
+		e := newEmu(m)
+		hits := e.CacheHits()
+		stepToHalt(t, e)
+		compiles := e.Decoded - (e.CacheHits() - hits)
+		e.Release()
+		return compiles
+	}
+	for g := 0; g < 3; g++ {
+		if n := guest(New); n != distinct {
+			t.Errorf("private guest %d compiled %d bodies, want %d", g, n, distinct)
+		}
+	}
+	shared := NewCache()
+	for g, want := range []int64{distinct, 0, 0} {
+		n := guest(func(m *machine.Machine) *Emulator { return NewShared(m, sem.HardwareConfig, shared) })
+		if n != want {
+			t.Errorf("shared guest %d compiled %d bodies, want %d", g, n, want)
+		}
+	}
+}
+
+// TestReleasedEmulatorPanics: stepping a released emulator fails loudly
+// instead of running bodies whose arena a later guest now owns. Release is
+// idempotent, and releasing a shared-cache guest leaves the cache serving
+// other guests.
+func TestReleasedEmulatorPanics(t *testing.T) {
+	shared := NewCache()
+	for name, newEmu := range map[string]func(*machine.Machine) *Emulator{
+		"private": New,
+		"shared":  func(m *machine.Machine) *Emulator { return NewShared(m, sem.HardwareConfig, shared) },
+	} {
+		m := machine.NewBaseline(nil)
+		m.Mem.WriteBytes(machine.CodeBase, countedLoop(1<<20))
+		e := newEmu(m)
+		for i := 0; i < 8; i++ {
+			e.Step()
+		}
+		e.Release()
+		e.Release()
+		if e.arena != nil || e.cache != nil {
+			t.Errorf("%s: a released emulator still reaches its cache", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Step after Release did not panic", name)
+				}
+			}()
+			e.Step()
+		}()
+	}
+	if shared.Len() == 0 {
+		t.Error("releasing a shared-cache guest emptied the shared cache")
 	}
 }

@@ -181,5 +181,10 @@ func RunBootBudget(f Factory, image *machine.Memory, bootCode, program []byte, b
 		}
 	}
 	res.Snapshot = m.Snapshot(lastExc)
+	// The guest is done: an emulator that keeps per-guest storage (fidelis's
+	// compiled bodies) hands it back for the next guest.
+	if r, ok := e.(interface{ Release() }); ok {
+		r.Release()
+	}
 	return res
 }

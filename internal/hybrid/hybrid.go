@@ -596,6 +596,7 @@ func (f *fuzzer) replayToTest(prog []byte, testOff int) *machine.Machine {
 	m.Mem.WriteBytes(machine.BootBase, f.cfg.Boot)
 	m.Mem.WriteBytes(machine.CodeBase, prog)
 	e := fidelis.NewWithConfig(m, sem.HardwareConfig)
+	defer e.Release()
 	target := machine.CodeBase + uint32(testOff)
 	for i := 0; i < maxSteps; i++ {
 		if m.EIP == target {

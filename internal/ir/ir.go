@@ -10,7 +10,6 @@ package ir
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"pokeemu/internal/expr"
 	"pokeemu/internal/x86"
@@ -140,44 +139,50 @@ type Label int
 // Builder incrementally constructs a Program. Value-producing methods return
 // Operands so semantics code composes like expressions.
 //
-// Until Build, p.Stmts, p.TempWidths and labels are pooled scratch whose
-// append growth is paid once per process rather than once per program;
-// Build copies the body out at its exact size and recycles the scratch, so
-// a compiled program never holds growth slack or shares memory with a
-// later build.
+// Until Build, p.Stmts and p.TempWidths are the tail of an Arena and the
+// labels its scratch: append growth is paid once per arena, not once per
+// program.
 type Builder struct {
 	p      *Program
 	labels []int // label → stmt index, -1 while unbound
-	s      *scratch
+	a      *Arena
+	guest  bool // a is the caller's: Build leaves the body where it lies
 }
 
-// scratch is a Builder's recyclable construction space.
-type scratch struct {
-	stmts  []Stmt
-	widths []uint8
-	labels []int
-}
+// NewBuilder starts a program with the given name in pooled scratch; Build
+// copies it out at its exact size, so the program shares memory with no
+// later build.
+func NewBuilder(name string) *Builder { return newBuilder(name, NewArena(), false) }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// NewBuilderIn starts a program with the given name in a guest's arena;
+// Build returns it where it was built, valid until the arena is released.
+func NewBuilderIn(name string, a *Arena) *Builder { return newBuilder(name, a, true) }
 
-// NewBuilder starts a program with the given name.
-func NewBuilder(name string) *Builder {
-	s := scratchPool.Get().(*scratch)
+func newBuilder(name string, a *Arena, guest bool) *Builder {
 	return &Builder{
-		p:      &Program{Name: name, Stmts: s.stmts[:0], TempWidths: s.widths[:0]},
-		labels: s.labels[:0],
-		s:      s,
+		p:      &Program{Name: name, Stmts: a.stmts.tail(), TempWidths: a.widths.tail()},
+		labels: a.labels[:0],
+		a:      a,
+		guest:  guest,
 	}
 }
 
 // NewTemp allocates a fresh temporary of width w bits.
 func (b *Builder) NewTemp(w uint8) Operand {
 	t := Temp(len(b.p.TempWidths))
+	if len(b.p.TempWidths) == cap(b.p.TempWidths) {
+		b.p.TempWidths = b.a.widths.move(b.p.TempWidths, widthChunk)
+	}
 	b.p.TempWidths = append(b.p.TempWidths, w)
 	return Operand{Temp: t, Width: w}
 }
 
+// emit appends s in place at the arena's tail; a body that fills its chunk
+// moves whole to the next one, so it stays contiguous.
 func (b *Builder) emit(s Stmt) {
+	if len(b.p.Stmts) == cap(b.p.Stmts) {
+		b.p.Stmts = b.a.stmts.move(b.p.Stmts, stmtChunk)
+	}
 	b.p.Stmts = append(b.p.Stmts, s)
 }
 
@@ -425,13 +430,13 @@ func Concat(name string, progs ...*Program) *Program {
 }
 
 // Build resolves labels and returns the finished program, whose Stmts and
-// TempWidths are exact-size slices of their own. It is called once; the
-// builder is spent afterwards.
+// TempWidths have len == cap, so appending to them never writes into the
+// arena. Without a guest arena they are exact-size slices of their own. It
+// is called once; the builder is spent afterwards.
 func (b *Builder) Build() *Program {
 	p := b.p
-	stmts, widths := exact(p.Stmts), exact(p.TempWidths)
-	for i := range stmts {
-		s := &stmts[i]
+	for i := range p.Stmts {
+		s := &p.Stmts[i]
 		if s.Kind == KCJump || s.Kind == KJump {
 			tgt := b.labels[s.Target]
 			if tgt == -1 {
@@ -440,13 +445,29 @@ func (b *Builder) Build() *Program {
 			s.Target = int32(tgt)
 		}
 	}
-	// Everything is copied out; only now may another builder take the
-	// scratch.
-	b.s.stmts, b.s.widths, b.s.labels = p.Stmts[:0], p.TempWidths[:0], b.labels[:0]
-	scratchPool.Put(b.s)
-	p.Stmts, p.TempWidths = stmts, widths
-	b.s, b.labels = nil, nil
+	a := b.a
+	a.labels = b.labels[:0]
+	if b.guest {
+		a.stmts.commit(len(p.Stmts))
+		a.widths.commit(len(p.TempWidths))
+		p.Stmts, p.TempWidths = clip(p.Stmts), clip(p.TempWidths)
+	} else {
+		// Everything is copied out; only now may another builder take the
+		// scratch.
+		p.Stmts, p.TempWidths = exact(p.Stmts), exact(p.TempWidths)
+		a.Release()
+	}
+	b.a, b.labels = nil, nil
 	return p
+}
+
+// clip caps s at its length (nil when s is empty), like exact without the
+// copy.
+func clip[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[:len(s):len(s)]
 }
 
 // exact copies s into a slice with len == cap (nil when s is empty).

@@ -32,7 +32,8 @@ const repBudget = 1 << 22
 
 // Emulator is the direct-decode interpreter.
 type Emulator struct {
-	m *machine.Machine
+	m     *machine.Machine
+	fetch [x86.MaxInstLen]byte // instruction fetch buffer
 
 	// Decoded counts instructions executed.
 	Decoded int64
@@ -73,7 +74,7 @@ func (e *Emulator) Step() emu.Event {
 		return emu.Event{Kind: emu.EventHalt}
 	}
 
-	code, fexc := m.FetchCode(x86.MaxInstLen)
+	code, fexc := m.FetchCode(e.fetch[:0], x86.MaxInstLen)
 	inst, derr := x86.Decode(code)
 	if derr != nil {
 		de := derr.(*x86.DecodeError)

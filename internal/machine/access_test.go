@@ -157,7 +157,7 @@ func checkAccessOps(t *testing.T, data []byte) {
 				}
 			}
 			n := int(op[5] % 16)
-			g, gexc := got.FetchCode(n)
+			g, gexc := got.FetchCode(nil, n)
 			r, rexc := refFetchCode(want, n)
 			if !bytes.Equal(g, r) || !reflect.DeepEqual(gexc, rexc) {
 				t.Fatalf("op %d: FetchCode(%d) at %#x = % x, %v; reference % x, %v",
@@ -241,7 +241,7 @@ func TestMemoryAccessMatchesByteReference(t *testing.T) {
 			if tc.op[10]&4 != 0 {
 				m.Seg[x86.CS].Limit = m.EIP + 2
 			}
-			out, exc := m.FetchCode(int(tc.op[5]))
+			out, exc := m.FetchCode(nil, int(tc.op[5]))
 			if len(out) != tc.bytes {
 				t.Errorf("fetched %d bytes, want %d", len(out), tc.bytes)
 			}

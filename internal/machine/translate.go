@@ -77,10 +77,12 @@ func (m *Machine) Translate(lin uint32, write bool) (uint32, *ExceptionInfo) {
 // walk and one page lookup cover every byte up to the page boundary, with
 // identical fault behavior to a per-byte walk: bytes are produced in order,
 // and the first byte past the limit or on a faulting page stops the fetch
-// with the fault.
-func (m *Machine) FetchCode(n int) ([]byte, *ExceptionInfo) {
+// with the fault. The bytes are appended to dst[:0], so a caller that
+// passes a buffer of capacity n fetches without allocating; the result
+// aliases that buffer.
+func (m *Machine) FetchCode(dst []byte, n int) ([]byte, *ExceptionInfo) {
 	cs := &m.Seg[x86.CS]
-	out := make([]byte, 0, n)
+	out := dst[:0]
 	for i := 0; i < n; {
 		off := m.EIP + uint32(i)
 		if off > cs.Limit {

@@ -26,6 +26,10 @@ type BV struct {
 	vars  map[string][]Lit
 	hmemo map[*expr.Expr]uint64
 	memo  map[string]memoEntry
+	// keyLits and keyBuf are memoKey's sort and pack buffers, reused by
+	// every query.
+	keyLits []Lit
+	keyBuf  []byte
 
 	// Queries counts Check calls; Encoded counts encoded term nodes.
 	// MemoHits/MemoMisses/SubsumeHits split Queries by whether the
@@ -706,16 +710,19 @@ func (b *BV) Check(assumps []*expr.Expr) Status {
 func (b *BV) CheckLits(lits []Lit) Status {
 	b.Queries++
 	internalQueries.Add(1)
-	key := memoKey(lits)
+	key := b.memoKey(lits)
 	// Injected decision-procedure timeout. The solver has no error return
 	// (Unsat/Sat/Unknown are all answers), so an injected timeout panics and
 	// rides the same per-instruction isolation that absorbs organic solver
 	// bugs; the key is the assumption-set memo key, so n=/every= triggers
-	// count queries and key= can target one assumption set.
-	if err := faults.Hit(faults.SolverQuery, key); err != nil {
-		panic(err)
+	// count queries and key= can target one assumption set. The key string
+	// is built only while a plan is armed.
+	if faults.Armed() != nil {
+		if err := faults.Hit(faults.SolverQuery, string(key)); err != nil {
+			panic(err)
+		}
 	}
-	if ent, ok := b.memo[key]; ok {
+	if ent, ok := b.memo[string(key)]; ok {
 		b.MemoHits++
 		memoHitsTotal.Add(1)
 		if ent.st == Sat {
@@ -743,7 +750,7 @@ func (b *BV) CheckLits(lits []Lit) Status {
 		if len(b.memo) >= checkMemoCap {
 			b.memo = make(map[string]memoEntry)
 		}
-		b.memo[key] = memoEntry{st: Sat, model: b.sat.Model()}
+		b.memo[string(key)] = memoEntry{st: Sat, model: b.sat.Model()}
 		return Sat
 	}
 	b.MemoMisses++
@@ -769,7 +776,7 @@ func (b *BV) CheckLits(lits []Lit) Status {
 	if len(b.memo) >= checkMemoCap {
 		b.memo = make(map[string]memoEntry)
 	}
-	b.memo[key] = ent
+	b.memo[string(key)] = ent
 	return st
 }
 
@@ -802,15 +809,17 @@ func (b *BV) validateHit(lits []Lit, m []bool, path string) {
 // memoKey canonicalizes an assumption set into a map key: sort a copy (the
 // caller's slice is never reordered) and pack the raw literals. Two queries
 // with the same literals in any order share one entry; a literal and its
-// negation differ in the packed value, so the key is sign-aware.
-func memoKey(lits []Lit) string {
-	s := slices.Clone(lits)
-	slices.Sort(s)
-	buf := make([]byte, 4*len(s))
-	for i, l := range s {
-		binary.LittleEndian.PutUint32(buf[i*4:], uint32(l))
+// negation differ in the packed value, so the key is sign-aware. The key
+// lives in the BV's buffers until the next call: a lookup reads it as
+// m[string(key)] without allocating, and only an insert copies it.
+func (b *BV) memoKey(lits []Lit) []byte {
+	b.keyLits = append(b.keyLits[:0], lits...)
+	slices.Sort(b.keyLits)
+	b.keyBuf = b.keyBuf[:0]
+	for _, l := range b.keyLits {
+		b.keyBuf = binary.LittleEndian.AppendUint32(b.keyBuf, uint32(l))
 	}
-	return string(buf)
+	return b.keyBuf
 }
 
 // Model extracts values for every bit-blasted variable after a Sat result.

@@ -139,6 +139,8 @@ func memoKeySortSlice(lits []Lit) string {
 // never reorders the caller's slice.
 func TestMemoKeyMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	var b BV
+	memoKey := func(lits []Lit) string { return string(b.memoKey(lits)) }
 	for iter := 0; iter < 2000; iter++ {
 		lits := make([]Lit, r.Intn(40))
 		for i := range lits {
@@ -166,5 +168,28 @@ func TestMemoKeyMatchesReference(t *testing.T) {
 		if memoKey(flipped) == key {
 			t.Fatalf("iter %d: negating %d kept the key", iter, lits[k])
 		}
+	}
+}
+
+// TestCheckLitsMemoHitAllocFree checks that a memo hit allocates nothing:
+// the key is sorted and packed in the BV's own buffers and looked up
+// without a string copy, which only an insert makes.
+func TestCheckLitsMemoHitAllocFree(t *testing.T) {
+	b := NewBV()
+	x := expr.Var(8, "x")
+	lits := []Lit{b.LitFor(expr.Ult(expr.Const(8, 1), x)), b.LitFor(expr.Eq(x, expr.Const(8, 5)))}
+	if st := b.CheckLits(lits); st != Sat {
+		t.Fatalf("first query = %v, want Sat", st)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if st := b.CheckLits(lits); st != Sat {
+			t.Fatalf("repeat query = %v, want Sat", st)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("memo hit: %v allocations", allocs)
+	}
+	if b.MemoHits < 100 {
+		t.Errorf("memo hits %d, want every repeat to hit", b.MemoHits)
 	}
 }

@@ -89,9 +89,20 @@ type ctx struct {
 
 func (c *ctx) konst(w uint8, v uint64) ir.Operand { return ir.C(w, v) }
 
-// Compile translates one decoded instruction into an IR program.
+// Compile translates one decoded instruction into an IR program that owns
+// its memory.
 func Compile(inst *x86.Inst, cfg Config) *ir.Program {
-	b := ir.NewBuilder(inst.Spec.Name)
+	return compile(ir.NewBuilder(inst.Spec.Name), inst, cfg)
+}
+
+// CompileIn is Compile into a guest's arena: the body is built in place
+// there, statement for statement what Compile returns, and is valid until
+// the arena is released.
+func CompileIn(inst *x86.Inst, cfg Config, a *ir.Arena) *ir.Program {
+	return compile(ir.NewBuilderIn(inst.Spec.Name, a), inst, cfg)
+}
+
+func compile(b *ir.Builder, inst *x86.Inst, cfg Config) *ir.Program {
 	c := &ctx{b: b, inst: inst, cfg: cfg, osz: uint8(inst.OpSize)}
 
 	// LOCK prefix legality: only on the architected read-modify-write forms,
