@@ -424,6 +424,9 @@ func checkOne(u *core.UniqueInstr, opts *Options, env *checkEnv) *HandlerVerdict
 		})
 	})
 	stats := en.Stats()
+	// The paths hold expression terms only, so the exploration solvers'
+	// storage can go to the miter solver below.
+	en.Release()
 	if !stats.Exhausted || aborted {
 		return unknown(u, "fidelis-paths: exploration capped", stats.SolverQueries)
 	}
@@ -443,6 +446,7 @@ func checkOne(u *core.UniqueInstr, opts *Options, env *checkEnv) *HandlerVerdict
 	// idiv family are the case that needs it). No subsumption: every
 	// disequality query is a fresh UNSAT proof obligation.
 	bv := solver.NewBV()
+	defer bv.Release()
 	bv.Strash = true
 	if opts.MaxConflicts > 0 {
 		bv.MaxConflicts = opts.MaxConflicts

@@ -30,8 +30,9 @@ const (
 )
 
 // arenaCap bounds the storage a pooled arena may keep: a guest that
-// compiled more than this drops its arena instead of pooling it, so one
-// outsized guest does not pin its chunks for the rest of the process.
+// compiled more than this has its arena trimmed back to it before it is
+// pooled, so one outsized guest does not pin its chunks for the rest of
+// the process, and the next guest still finds the first chunks in place.
 const arenaCap = 1 << 20
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
@@ -40,14 +41,18 @@ var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 // is pooled.
 func NewArena() *Arena { return arenaPool.Get().(*Arena) }
 
-// Release returns the arena to the pool, or drops it if it grew past
-// arenaCap. Every body built in it is dead afterwards: later guests
+// Release returns the arena to the pool, trimmed back to arenaCap if it
+// grew past it. Every body built in it is dead afterwards: later guests
 // overwrite its storage.
 func (a *Arena) Release() {
-	if a.bytes() > arenaCap {
-		return
-	}
 	a.reset()
+	if total := a.bytes(); total > arenaCap {
+		// Keep the same share of each kind of slab, so the kept chunks
+		// hold statements and widths in the proportion bodies use them.
+		a.stmts.trim(a.stmts.capacity() * arenaCap / total)
+		a.widths.trim(a.widths.capacity() * arenaCap / total)
+		a.labels = nil
+	}
 	arenaPool.Put(a)
 }
 
@@ -114,6 +119,18 @@ func (c *chunks[T]) reset() {
 		c.list[i] = c.list[i][:0]
 	}
 	c.cur = 0
+}
+
+// trim keeps the leading slabs that hold at most n elements together and
+// drops the rest. It is called on a reset list only.
+func (c *chunks[T]) trim(n int) {
+	for i, s := range c.list {
+		if n -= cap(s); n < 0 {
+			clear(c.list[i:])
+			c.list = c.list[:i]
+			return
+		}
+	}
 }
 
 // capacity is the element count of every slab together.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"pokeemu/internal/expr"
@@ -18,18 +19,11 @@ import (
 // branch condition rebuilt on a re-executed path (as the online exploration
 // strategy does) does not get re-encoded.
 type BV struct {
-	sat   *CDCL
-	tru   Lit
-	fls   Lit
-	ptr   map[*expr.Expr][]Lit
-	hash  map[uint64][]hashEntry
-	vars  map[string][]Lit
-	hmemo map[*expr.Expr]uint64
-	memo  map[string]memoEntry
-	// keyLits and keyBuf are memoKey's sort and pack buffers, reused by
-	// every query.
-	keyLits []Lit
-	keyBuf  []byte
+	bvStore
+	sat      *CDCL
+	tru      Lit
+	fls      Lit
+	released bool // Release ran; every method panics
 
 	// Queries counts Check calls; Encoded counts encoded term nodes.
 	// MemoHits/MemoMisses/SubsumeHits split Queries by whether the
@@ -80,7 +74,49 @@ type BV struct {
 	// literals, which moves SAT models, so it stays off wherever a model
 	// feeds a pinned golden or a cached test (the exploration solver).
 	Strash bool
-	gates  map[gateKey]Lit
+}
+
+// bvStore is the translation state a BV grows while it encodes and
+// solves. Release hands it, emptied, to the next NewBV along with the
+// CDCL core's storage.
+type bvStore struct {
+	ptr   map[*expr.Expr][]Lit
+	hash  map[uint64][]hashEntry
+	vars  map[string][]Lit
+	hmemo map[*expr.Expr]uint64
+	memo  map[string]memoEntry
+	gates map[gateKey]Lit // Strash's gate table, made on first use
+	// keyLits and keyBuf are memoKey's sort and pack buffers, reused by
+	// every query.
+	keyLits []Lit
+	keyBuf  []byte
+}
+
+// bvStoreMapCap bounds the maps a released BV hands on: clear costs as
+// much as a map's capacity, so a map that grew past it is dropped and the
+// next BV makes a fresh one.
+const bvStoreMapCap = 1 << 12
+
+var bvPool sync.Pool
+
+// reset empties every map, or drops it if it grew past bvStoreMapCap.
+func (st *bvStore) reset() {
+	st.ptr = clearOrDrop(st.ptr)
+	st.hash = clearOrDrop(st.hash)
+	st.vars = clearOrDrop(st.vars)
+	st.hmemo = clearOrDrop(st.hmemo)
+	st.memo = clearOrDrop(st.memo)
+	st.gates = clearOrDrop(st.gates)
+}
+
+// clearOrDrop returns m emptied, or nil if it holds more than
+// bvStoreMapCap entries.
+func clearOrDrop[K comparable, V any](m map[K]V) map[K]V {
+	if len(m) > bvStoreMapCap {
+		return nil
+	}
+	clear(m)
+	return m
 }
 
 // gateKey identifies one strashed gate by its kind and normalized inputs.
@@ -142,21 +178,70 @@ type hashEntry struct {
 	lits []Lit
 }
 
-// NewBV returns an empty bit-vector solver.
+// NewBV returns an empty bit-vector solver, built on a released solver's
+// storage when one is pooled.
 func NewBV() *BV {
-	b := &BV{
-		sat:   NewSat(),
-		ptr:   make(map[*expr.Expr][]Lit),
-		hash:  make(map[uint64][]hashEntry),
-		vars:  make(map[string][]Lit),
-		hmemo: make(map[*expr.Expr]uint64),
-		memo:  make(map[string]memoEntry),
+	st, _ := bvPool.Get().(*bvStore)
+	return newBVOn(st, NewSat())
+}
+
+// newBVOn returns an empty bit-vector solver over the empty CDCL core sat,
+// with its translation maps from st, or fresh ones when st is nil.
+func newBVOn(st *bvStore, sat *CDCL) *BV {
+	b := &BV{sat: sat}
+	if st != nil {
+		b.bvStore = *st
+	}
+	if b.ptr == nil {
+		b.ptr = make(map[*expr.Expr][]Lit)
+	}
+	if b.hash == nil {
+		b.hash = make(map[uint64][]hashEntry)
+	}
+	if b.vars == nil {
+		b.vars = make(map[string][]Lit)
+	}
+	if b.hmemo == nil {
+		b.hmemo = make(map[*expr.Expr]uint64)
+	}
+	if b.memo == nil {
+		b.memo = make(map[string]memoEntry)
 	}
 	t := b.sat.NewVar()
 	b.tru = MkLit(t, false)
 	b.fls = b.tru.Neg()
 	b.sat.AddClause(b.tru)
 	return b
+}
+
+// Release ends the solver and hands its storage, the CDCL core's
+// included, to the next NewBV. Every method panics afterwards; Release on
+// a released solver does nothing. Models and literal slices the solver
+// returned stay valid: they are never recycled.
+func (b *BV) Release() {
+	if b.released {
+		return
+	}
+	bvPool.Put(b.release())
+	b.sat.Release()
+}
+
+// release ends the solver and returns its translation maps, emptied. The
+// CDCL core is left to the caller.
+func (b *BV) release() *bvStore {
+	b.released = true
+	st := new(bvStore)
+	*st = b.bvStore
+	b.bvStore = bvStore{}
+	st.reset()
+	return st
+}
+
+// live panics if the solver has been released.
+func (b *BV) live() {
+	if b.released {
+		panic("solver: BV used after Release")
+	}
 }
 
 // lit constant helpers
@@ -418,6 +503,7 @@ func structuralEq(a, c *expr.Expr) bool {
 
 // Bits translates e into a bit vector of literals, LSB first.
 func (b *BV) Bits(e *expr.Expr) []Lit {
+	b.live()
 	if lits, ok := b.ptr[e]; ok {
 		return lits
 	}
@@ -668,6 +754,7 @@ func (b *BV) geConst(bits []Lit, c uint64) Lit {
 
 // Assert permanently adds the 1-bit term e as a hard constraint.
 func (b *BV) Assert(e *expr.Expr) {
+	b.live()
 	if e.Width != 1 {
 		panic("solver: Assert requires a 1-bit term")
 	}
@@ -708,6 +795,7 @@ func (b *BV) Check(assumps []*expr.Expr) Status {
 // snapshot read as zero, which is a legal assignment for variables the
 // memoized query never constrained. Assert invalidates the memo.
 func (b *BV) CheckLits(lits []Lit) Status {
+	b.live()
 	b.Queries++
 	internalQueries.Add(1)
 	key := b.memoKey(lits)
@@ -833,6 +921,7 @@ func (b *BV) Model() map[string]uint64 {
 // ModelVars calls f with the model value of every bit-blasted variable, in
 // no particular order — Model without building the map.
 func (b *BV) ModelVars(f func(name string, v uint64)) {
+	b.live()
 	for name, lits := range b.vars {
 		f(name, b.valueOf(lits))
 	}
@@ -840,6 +929,7 @@ func (b *BV) ModelVars(f func(name string, v uint64)) {
 
 // ModelVal returns the model value of one variable (zero if never encoded).
 func (b *BV) ModelVal(name string) uint64 {
+	b.live()
 	lits, ok := b.vars[name]
 	if !ok {
 		return 0
@@ -867,7 +957,13 @@ func (b *BV) valueOf(lits []Lit) uint64 {
 }
 
 // NumClauses reports the size of the underlying CNF, for diagnostics.
-func (b *BV) NumClauses() int { return b.sat.NumClauses() }
+func (b *BV) NumClauses() int {
+	b.live()
+	return b.sat.NumClauses()
+}
 
 // NumVarsSAT reports the number of SAT variables allocated.
-func (b *BV) NumVarsSAT() int { return b.sat.NumVars() }
+func (b *BV) NumVarsSAT() int {
+	b.live()
+	return b.sat.NumVars()
+}

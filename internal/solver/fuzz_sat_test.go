@@ -17,7 +17,9 @@ func fuzzLit(b byte, nVars int) Lit {
 // lost propagations (validateArena panics otherwise); and (2) the verdict
 // matches a scratch oracle that re-adds every clause to a fresh solver and
 // re-watches from nothing, so no compaction pass can silently change what
-// the clause database means.
+// the clause database means. The compacting solver is built on storage
+// recycled from a larger solve, so stale arena words, watch lists and
+// per-variable values past every length are in place the whole time.
 func FuzzArenaCompact(f *testing.F) {
 	f.Add([]byte{0, 2, 5, 9, 255, 1})
 	f.Add([]byte{1, 3, 3, 3, 254, 2, 4, 6, 8, 255, 7})
@@ -28,7 +30,7 @@ func FuzzArenaCompact(f *testing.F) {
 			return
 		}
 		const nVars = 12
-		s := NewSat()
+		s := recycledSat(uint64(data[0]), 3*nVars)
 		for v := 0; v < nVars; v++ {
 			s.NewVar()
 		}
@@ -93,7 +95,9 @@ func FuzzArenaCompact(f *testing.F) {
 // statistics over the same query sequence — the Luby schedule is a pure
 // function of the seed, never of wall clock or memory layout; and (2) the
 // verdicts match a restart-free run of the same formula, so restarting can
-// reorder the search but never change an answer.
+// reorder the search but never change an answer. One of the identical
+// pair is built on storage recycled from a different solve, so (1) also
+// holds the recycled solver to the fresh one's search.
 func FuzzLubyRestart(f *testing.F) {
 	f.Add(uint64(1), []byte{2, 5, 9, 11, 14, 3, 7, 21, 8})
 	f.Add(uint64(42), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -111,8 +115,7 @@ func FuzzLubyRestart(f *testing.F) {
 				fuzzLit(data[i+2], nVars),
 			})
 		}
-		build := func(restartBase int64) *CDCL {
-			s := NewSat()
+		build := func(s *CDCL, restartBase int64) *CDCL {
 			for v := 0; v < nVars; v++ {
 				s.NewVar()
 			}
@@ -135,8 +138,8 @@ func FuzzLubyRestart(f *testing.F) {
 				fuzzLit(data[i+1], nVars),
 			})
 		}
-		a, b := build(1), build(1)
-		noRestart := build(1 << 30)
+		a, b := build(newSatOn(nil), 1), build(recycledSat(seed, 4*nVars), 1)
+		noRestart := build(newSatOn(nil), 1<<30)
 		for qi, q := range queries {
 			ra, rb := a.Solve(q), b.Solve(q)
 			if ra != rb {
@@ -150,9 +153,11 @@ func FuzzLubyRestart(f *testing.F) {
 					}
 				}
 			}
-			if a.Conflicts != b.Conflicts || a.Decisions != b.Decisions || a.Restarts != b.Restarts {
-				t.Fatalf("query %d: identical solvers diverged in search stats (%d/%d/%d vs %d/%d/%d)",
-					qi, a.Conflicts, a.Decisions, a.Restarts, b.Conflicts, b.Decisions, b.Restarts)
+			if a.Conflicts != b.Conflicts || a.Decisions != b.Decisions || a.Restarts != b.Restarts ||
+				a.Props != b.Props || a.Reduces != b.Reduces {
+				t.Fatalf("query %d: identical solvers diverged in search stats (%d/%d/%d/%d/%d vs %d/%d/%d/%d/%d)",
+					qi, a.Conflicts, a.Decisions, a.Restarts, a.Props, a.Reduces,
+					b.Conflicts, b.Decisions, b.Restarts, b.Props, b.Reduces)
 			}
 			if rn := noRestart.Solve(q); rn != ra {
 				t.Fatalf("query %d: restarting run says %v, restart-free run says %v", qi, ra, rn)

@@ -11,6 +11,8 @@ package solver
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"unsafe"
 )
 
 // Lit is a SAT literal: variable index v encoded as 2v (positive) or
@@ -86,33 +88,17 @@ const clauseHdr = 2
 
 // CDCL is a conflict-driven clause-learning SAT solver. The zero value is not usable; call NewSat.
 type CDCL struct {
-	arena      []int32 // flat clause slab; see the layout comment above
-	nclauses   int
-	learntRefs []int32 // arena refs of learned clauses, in learn order
-	watches    [][]watcher
-	// assign is literal-indexed: assign[l] is the value of literal l, so
-	// the propagate inner loop is a single unconditional array load with
-	// no sign branch. enqueue writes both polarities.
-	assign   []int8
-	level    []int32
-	reason   []int32
-	trail    []Lit
-	trailLim []int
+	satStore
+	nclauses int
 	qhead    int
-
-	activity []float64
 	varInc   float64
-	heap     varHeap
-	phase    []bool
-	seen     []bool
-
-	lbdStamp []int64 // per-level stamp used to count distinct levels
-	lbdToken int64
 
 	ok    bool   // false once a top-level conflict is found
 	model []bool // assignment snapshot from the last Sat result; a
 	// fresh slice per Sat, never mutated afterwards, so callers may share
 	// it without copying
+	released bool // Release ran; every method panics
+
 	Conflicts int64
 	Decisions int64
 	Props     int64
@@ -134,8 +120,7 @@ type CDCL struct {
 	// the longest common prefix with the previous call's assumptions and
 	// re-decides the suffix, instead of re-deciding and re-propagating the
 	// whole prefix from level 0 every time.
-	Reuse       bool
-	keptAssumps []Lit
+	Reuse bool
 	// ReusedLevels counts assumption decision levels carried over between
 	// Solve calls by Reuse (a measure of re-decide work avoided).
 	ReusedLevels int64
@@ -161,20 +146,154 @@ type CDCL struct {
 	rng  uint64
 }
 
-// NewSat returns an empty solver.
+// satStore is the storage a CDCL grows while it solves. Release hands it
+// to the next NewSat, which fills it again from length zero: every slot a
+// solver reads below a slice's length it has written itself, so a
+// recycled solver searches exactly as a fresh one does.
+type satStore struct {
+	arena      []int32 // flat clause slab; see the layout comment above
+	learntRefs []int32 // arena refs of learned clauses, in learn order
+	// watches keeps its backing array past its length, and every list
+	// there keeps its own, so NewVar on a recycled solver reuses both.
+	// watchTail is the capacity, in watchers, of the lists past the length.
+	watches   [][]watcher
+	watchTail int
+	// assign is literal-indexed: assign[l] is the value of literal l, so
+	// the propagate inner loop is a single unconditional array load with
+	// no sign branch. enqueue writes both polarities.
+	assign   []int8
+	level    []int32
+	reason   []int32
+	trail    []Lit
+	trailLim []int
+
+	activity []float64
+	heap     varHeap
+	phase    []bool
+	seen     []bool
+
+	// lbdStamp is a per-level stamp used to count distinct levels. It is
+	// not cleared on reuse: lbdToken keeps counting up, so a stamp left by
+	// an earlier solver never equals a later token.
+	lbdStamp []int64
+	lbdToken int64
+
+	keptAssumps []Lit
+	clauseBuf   []Lit // AddClause's normalized clause
+	learntBuf   []Lit // analyze's learned clause
+}
+
+// satStoreCap bounds the storage a released solver may hand on: a solver
+// that grew past it is dropped instead of pooled, so one outsized proof
+// does not pin its storage for the rest of the process.
+const satStoreCap = 4 << 20
+
+var satPool sync.Pool
+
+// NewSat returns an empty solver, built on a released solver's storage
+// when one is pooled.
 func NewSat() *CDCL {
-	return &CDCL{ok: true, varInc: 1.0}
+	st, _ := satPool.Get().(*satStore)
+	return newSatOn(st)
+}
+
+// newSatOn returns an empty solver built on st, or on fresh storage when
+// st is nil.
+func newSatOn(st *satStore) *CDCL {
+	s := &CDCL{ok: true, varInc: 1.0}
+	if st != nil {
+		s.satStore = *st
+	}
+	return s
+}
+
+// Release ends the solver and hands its storage to the next NewSat. Every
+// method panics afterwards; Release on a released solver does nothing.
+// Models the solver returned stay valid: they are never recycled.
+func (s *CDCL) Release() {
+	if st := s.release(); st != nil {
+		satPool.Put(st)
+	}
+}
+
+// release ends the solver and returns its storage, emptied, or nil when
+// the solver was already released or its storage is past satStoreCap.
+func (s *CDCL) release() *satStore {
+	if s.released {
+		return nil
+	}
+	s.released = true
+	st := new(satStore)
+	*st = s.satStore
+	s.satStore = satStore{}
+	s.model = nil
+	if !st.truncate() {
+		return nil
+	}
+	return st
+}
+
+// truncate empties the storage for reuse, keeping every backing array. It
+// reports false when the storage is past satStoreCap and should be dropped.
+// It costs one step per variable of the solver just ended, never one per
+// watch list a bigger earlier solver left behind: those are in watchTail.
+func (st *satStore) truncate() bool {
+	for _, w := range st.watches {
+		st.watchTail += cap(w)
+	}
+	st.watches = st.watches[:0]
+	if st.bytes() > satStoreCap {
+		return false
+	}
+	st.arena = st.arena[:0]
+	st.learntRefs = st.learntRefs[:0]
+	st.assign = st.assign[:0]
+	st.level = st.level[:0]
+	st.reason = st.reason[:0]
+	st.trail = st.trail[:0]
+	st.trailLim = st.trailLim[:0]
+	st.activity = st.activity[:0]
+	st.heap.heap = st.heap.heap[:0]
+	st.heap.pos = st.heap.pos[:0]
+	st.phase = st.phase[:0]
+	st.seen = st.seen[:0]
+	st.keptAssumps = st.keptAssumps[:0]
+	return true
+}
+
+// bytes is the storage held, with the watch lists counted through
+// watchTail: it is exact only while the watches length is zero.
+func (st *satStore) bytes() int {
+	return cap(st.arena)*4 + cap(st.learntRefs)*4 + cap(st.assign) + cap(st.level)*4 +
+		cap(st.reason)*4 + cap(st.trail)*4 + cap(st.trailLim)*8 + cap(st.activity)*8 +
+		cap(st.heap.heap)*8 + cap(st.heap.pos)*8 + cap(st.phase) + cap(st.seen) +
+		cap(st.lbdStamp)*8 + cap(st.keptAssumps)*4 + cap(st.clauseBuf)*4 + cap(st.learntBuf)*4 +
+		cap(st.watches)*int(unsafe.Sizeof([]watcher{})) + st.watchTail*int(unsafe.Sizeof(watcher{}))
+}
+
+// live panics if the solver has been released.
+func (s *CDCL) live() {
+	if s.released {
+		panic("solver: CDCL used after Release")
+	}
 }
 
 // NumVars returns the number of allocated variables.
-func (s *CDCL) NumVars() int { return len(s.assign) / 2 }
+func (s *CDCL) NumVars() int {
+	s.live()
+	return len(s.assign) / 2
+}
 
 // NumClauses returns the number of clauses currently attached (problem
 // plus retained learned clauses).
-func (s *CDCL) NumClauses() int { return s.nclauses }
+func (s *CDCL) NumClauses() int {
+	s.live()
+	return s.nclauses
+}
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *CDCL) NewVar() int {
+	s.live()
 	v := len(s.assign) / 2
 	s.assign = append(s.assign, valUnassigned, valUnassigned)
 	s.level = append(s.level, 0)
@@ -182,7 +301,16 @@ func (s *CDCL) NewVar() int {
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, false)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2]
+		s.watches[n] = s.watches[n][:0]
+		s.watches[n+1] = s.watches[n+1][:0]
+		s.watchTail -= cap(s.watches[n]) + cap(s.watches[n+1])
+	} else {
+		// A grown backing array has no lists past the length.
+		s.watches = append(s.watches, nil, nil)
+		s.watchTail = 0
+	}
 	s.heap.push(v, s.activity)
 	return v
 }
@@ -194,15 +322,24 @@ func (s *CDCL) value(l Lit) int8 { return s.assign[l] }
 func (s *CDCL) varValue(v int) int8 { return s.assign[Lit(v)<<1] }
 
 // Value reports the model value of variable v after a Sat result.
-func (s *CDCL) Value(v int) bool { return v < len(s.model) && s.model[v] }
+func (s *CDCL) Value(v int) bool {
+	s.live()
+	return v < len(s.model) && s.model[v]
+}
 
 // Model returns the last Sat model. The slice is immutable: Solve takes a
 // fresh snapshot per Sat result, so holding onto it is safe and free.
-func (s *CDCL) Model() []bool { return s.model }
+func (s *CDCL) Model() []bool {
+	s.live()
+	return s.model
+}
 
 // SetModel installs a model snapshot (used by the memoizing front-end to
 // restore a cached result). The caller must not mutate the slice.
-func (s *CDCL) SetModel(m []bool) { s.model = m }
+func (s *CDCL) SetModel(m []bool) {
+	s.live()
+	s.model = m
+}
 
 func (s *CDCL) decisionLevel() int { return len(s.trailLim) }
 
@@ -218,14 +355,20 @@ func (s *CDCL) clauseLits(ref int32) []int32 {
 // call may arrive while an assumption trail is still standing; the clause
 // is then attached without disturbing the kept levels whenever possible.
 func (s *CDCL) AddClause(lits ...Lit) bool {
+	s.live()
 	if !s.ok {
 		return false
 	}
 	// Normalize using level-0 assignments only. Dropping a literal that is
 	// false merely under the standing assumptions would strengthen the
 	// clause unsoundly, and a clause satisfied only above level 0 must
-	// still be attached for when that level is undone.
-	out := lits[:0:0]
+	// still be attached for when that level is undone. The normalized
+	// clause is built in the solver's own buffer, sized up front so the
+	// appends below never grow it.
+	if cap(s.clauseBuf) < len(lits) {
+		s.clauseBuf = make([]Lit, 0, 2*len(lits))
+	}
+	out := s.clauseBuf[:0]
 	for _, l := range lits {
 		if s.varValue(l.Var()) != valUnassigned && s.level[l.Var()] == 0 {
 			switch s.value(l) {
@@ -411,7 +554,7 @@ func (s *CDCL) bumpVar(v int) {
 func (s *CDCL) analyze(confl int32) (learnt []Lit, backLevel int32) {
 	counter := 0
 	p := Lit(-1)
-	learnt = append(learnt, 0) // slot for the asserting literal
+	learnt = append(s.learntBuf[:0], 0) // slot for the asserting literal
 	idx := len(s.trail) - 1
 	for {
 		c := s.clauseLits(confl)
@@ -464,6 +607,7 @@ func (s *CDCL) analyze(confl int32) (learnt []Lit, backLevel int32) {
 		s.seen[l.Var()] = false
 	}
 	s.varInc /= 0.95
+	s.learntBuf = learnt
 	return learnt, backLevel
 }
 
@@ -739,6 +883,7 @@ func (s *CDCL) validateModel(assumps []Lit) {
 
 // Solve determines satisfiability under the given assumption literals.
 func (s *CDCL) Solve(assumps []Lit) Status {
+	s.live()
 	c0, d0, p0, r0 := s.Conflicts, s.Decisions, s.Props, s.Restarts
 	defer func() {
 		conflictsTotal.Add(s.Conflicts - c0)

@@ -79,13 +79,29 @@ func newCDCL(nVars int, clauses [][]solver.Lit, tune func(*solver.CDCL)) *solver
 	return s
 }
 
+// releaseUsed solves a random formula over nVars variables with Reuse on
+// and releases the solver, so the next NewSat is built on its storage.
+// (Under the race detector the pool may drop the storage instead, and the
+// next solver starts fresh.)
+func releaseUsed(seed uint64, nVars int) {
+	s := newCDCL(nVars, randCNF(seed^0x5eed, nVars, 3*nVars), func(s *solver.CDCL) {
+		s.Reuse = true
+		s.ReduceBase = 2
+	})
+	for _, a := range randAssumps(seed^0x5eed, nVars, 8) {
+		s.Solve(a)
+	}
+	s.Release()
+}
+
 // RandomDifferential cross-checks the production configuration (reduceDB
-// forced aggressive, restarts, optionally seeded), the frozen reference
-// configuration (no reduction — the pre-overhaul solver behavior), and the
-// independent DPLL solver over seeded random 3-SAT instances and
-// incremental assumption-sequence workloads. Every verdict must agree.
-// With solver.Validate on (the harness tests enable it), every Sat model
-// is additionally checked against the full clause set.
+// forced aggressive, restarts, optionally seeded, optionally on recycled
+// storage), the frozen reference configuration (no reduction — the
+// pre-overhaul solver behavior), and the independent DPLL solver over
+// seeded random 3-SAT instances and incremental assumption-sequence
+// workloads. Every verdict must agree. With solver.Validate on (the harness
+// tests enable it), every Sat model is additionally checked against the
+// full clause set.
 func RandomDifferential(seeds int) error {
 	const nVars = 30
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
@@ -104,6 +120,13 @@ func RandomDifferential(seeds int) error {
 					s.ReduceBase = 20
 					s.Seed = splitmix64(seed)
 				})
+			}},
+			// Production shape on recycled storage: the solver is built on
+			// what a larger solve over another formula released, the way
+			// equivcheck's per-handler solvers are.
+			{"arena+reduce+recycled", func() *solver.CDCL {
+				releaseUsed(seed, 3*nVars)
+				return newCDCL(nVars, clauses, func(s *solver.CDCL) { s.ReduceBase = 20 })
 			}},
 			// Frozen reference: learned clauses are never dropped.
 			{"reference", func() *solver.CDCL {

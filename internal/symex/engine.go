@@ -118,6 +118,7 @@ type Engine struct {
 
 	stmtHits []bool // statement coverage across all paths
 	stats    Stats
+	released bool // Release ran; Explore and Stats panic
 }
 
 // NewEngine prepares exploration of paths from the given initial state.
@@ -143,9 +144,33 @@ func NewEngine(initial *SymState, sideConds []*expr.Expr, opts Options) *Engine 
 	return en
 }
 
+// Release hands the storage of the engine's solver, and of its task
+// engines' solvers, to the next solvers built (solver.BV.Release). Paths
+// already visited stay valid: their conditions, models and states never
+// point into solver storage. Explore and Stats panic afterwards; Release
+// on a released engine does nothing.
+func (en *Engine) Release() {
+	if en.released {
+		return
+	}
+	en.released = true
+	en.bv.Release()
+	for _, sub := range en.subs {
+		sub.Release()
+	}
+}
+
+// live panics if the engine has been released.
+func (en *Engine) live() {
+	if en.released {
+		panic("symex: Engine used after Release")
+	}
+}
+
 // Stats returns exploration statistics so far, aggregated over any
 // subtree task engines.
 func (en *Engine) Stats() Stats {
+	en.live()
 	s := en.stats
 	s.SolverQueries = en.bv.Queries
 	s.SolverMemoHits = en.bv.MemoHits

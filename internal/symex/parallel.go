@@ -81,6 +81,7 @@ func taskSeed(seed int64, prefix []int) int64 {
 // or the path cap is reached, invoking visit for each kept path in
 // canonical order. It is single-shot per Engine.
 func (en *Engine) Explore(prog *ir.Program, visit func(*PathResult)) {
+	en.live()
 	// Phase 1: frontier enumeration on this engine.
 	en.splitDepth = defaultSplitDepth
 	var short []keyedPath

@@ -126,3 +126,35 @@ func TestParallelExploreModelsSatisfyConds(t *testing.T) {
 		t.Fatal("expected exhaustion")
 	}
 }
+
+// TestReleasedEnginePanics checks Release: engines built after it, on the
+// storage of the released engine's solvers and its task engines' solvers,
+// visit the same paths with the same models and statistics, and the
+// released engine panics on further use instead of exploring on storage a
+// later engine owns.
+func TestReleasedEnginePanics(t *testing.T) {
+	want, wantStats := exploreWith(t, 4, 1<<10, 7)
+	st := NewSymState(machine.NewBaseline(nil))
+	st.MarkLocSymbolic(x86.GPR(x86.EAX), ^uint64(0))
+	en := NewEngine(st, nil, Options{MaxPaths: 1 << 10, MaxSteps: 1 << 14, Seed: 7, Workers: 4})
+	en.Explore(branchyProg(8), func(*PathResult) {})
+	en.Release()
+	en.Release()
+	got, gotStats := exploreWith(t, 4, 1<<10, 7)
+	if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+		t.Fatalf("exploration on released storage differs:\n%+v\nvs fresh:\n%+v", gotStats, wantStats)
+	}
+	for name, f := range map[string]func(){
+		"Explore": func() { en.Explore(branchyProg(2), func(*PathResult) {}) },
+		"Stats":   func() { en.Stats() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Engine.%s after Release did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
