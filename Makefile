@@ -11,7 +11,7 @@ SERVE_CORPUS ?= .pokeemud-corpus
 # Per-package statement-coverage floors enforced by `make cover`
 # (package:floor pairs; floors sit a few points under current coverage so
 # routine edits pass but a dropped test file fails).
-COVER_FLOORS ?= triage:85 diff:90 equivcheck:85 coverage:90 hybrid:85 lento:90 solver:90 celer:78 fanout:95 corpus:74 core:80 fidelis:78 ir:75
+COVER_FLOORS ?= triage:85 diff:90 equivcheck:85 coverage:90 hybrid:85 lento:90 solver:90 celer:78 fanout:95 corpus:74 core:80 fidelis:78 ir:75 service:94
 
 .PHONY: fmt build vet benchvet test race fuzz chaos cover bench bench-gate serve smoke equivcheck hybrid vote solvercheck check
 
@@ -39,7 +39,7 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# The sixteen native fuzz targets: the instruction decoder's structural
+# The seventeen native fuzz targets: the instruction decoder's structural
 # invariants, the expression simplifier's soundness, the minimizer's
 # incremental cone evaluation vs evaluation from scratch, the bit-blaster vs
 # evaluator semantics oracle, the SAT core's arena-compaction integrity and
@@ -50,8 +50,9 @@ race:
 # evaluator/bit-blaster ALU oracle, the snapshot decoder's hostile-input
 # and re-encode round-trip invariants, page-granular memory access and
 # code fetch vs a byte-at-a-time reference, the corpus exec and instr
-# record decoders' hostile-input and canonical round-trip invariants, and
-# pokeemud's submit-body decoding and request normalization.
+# record decoders' hostile-input and canonical round-trip invariants,
+# pokeemud's submit-body decoding and request normalization, and the
+# baseline decoder behind PUT /v1/baseline (round trip, distinct entries).
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/x86
 	$(GO) test -fuzz=FuzzExprSimplify -fuzztime=$(FUZZTIME) ./internal/expr
@@ -69,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeExecEntry -fuzztime=$(FUZZTIME) ./internal/corpus
 	$(GO) test -fuzz=FuzzDecodeInstrEntry -fuzztime=$(FUZZTIME) ./internal/corpus
 	$(GO) test -fuzz=FuzzSubmitRequest -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -fuzz=FuzzDecodeBaseline -fuzztime=$(FUZZTIME) ./internal/triage
 
 # Chaos gate: the fault-injection matrix under the race detector, sweeping
 # a fixed seed range (CHAOS_SEEDS plans per fault mix). Every armed fault

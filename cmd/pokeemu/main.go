@@ -8,11 +8,8 @@
 //	pokeemu explore
 //	pokeemu paths -i push_r [-cap 8192]
 //	pokeemu gen -i push_r [-path 0]
-//	pokeemu campaign [-instrs N] [-cap N] [-handlers a,b,c] [-workers N]
-//	                 [-explore-workers N] [-corpus DIR] [-resume] [-no-cache]
-//	                 [-timing] [-progress] [-test-steps N] [-test-timeout D]
-//	                 [-stage-timeout D] [-faults SPEC] [-pprof PREFIX] [-vote]
-//	pokeemu triage [campaign flags] [-baseline FILE] [-minimize] [-budget N]
+//	pokeemu campaign [campaign flags] [-faults SPEC] [-pprof PREFIX]
+//	pokeemu triage [campaign flags] [-minimize] [-budget N]
 //	               [-update-baseline] [-json FILE] [-gate]
 //	pokeemu triage -diff OLD.json NEW.json [-gate]
 //	pokeemu random [-tests N] [-fuzz]
@@ -38,12 +35,15 @@
 // when any new divergence appears — the CI regression gate. The -diff form
 // compares two saved report JSON files and prints only the delta.
 //
-// Campaign corpus flags: -corpus DIR roots the persistent test corpus
-// (content-addressed cache of exploration and generation results) so a warm
-// re-run skips symbolic exploration; -resume additionally caches and reuses
-// per-test execution outcomes; -no-cache ignores cached artifacts while
-// still refreshing them; -timing appends the per-stage wall-time and
-// cache-hit-rate table to the report.
+// Campaign flags, shared by campaign and triage: -corpus DIR roots the
+// persistent test corpus (content-addressed cache of exploration and
+// generation results) so a warm re-run skips symbolic exploration; -resume
+// additionally caches and reuses per-test execution outcomes; -no-cache
+// ignores cached artifacts while still refreshing them; -timing appends the
+// per-stage wall-time and cache-hit-rate table to the report. All but
+// -corpus, -progress, -timing and -baseline are campaign.Spec knobs, which
+// pokeemud takes under their JSON names; a zero means the knob's default on
+// both (-cap 0 is 256, -seed 0 is 1, -workers 0 one per CPU).
 //
 // Chaos testing: -faults SPEC (or the POKEEMU_FAULTS environment variable)
 // arms the deterministic fault-injection registry for the run, e.g.
@@ -65,7 +65,6 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"pokeemu/internal/campaign"
 	"pokeemu/internal/core"
@@ -99,9 +98,9 @@ func main() {
 	case "gen":
 		cmdGen(os.Args[2:])
 	case "campaign":
-		cmdCampaign(os.Args[2:])
+		parseAndRun(campaignCommand())
 	case "triage":
-		cmdTriage(os.Args[2:])
+		parseAndRun(triageCommand())
 	case "random":
 		cmdRandom(os.Args[2:])
 	case "sequence":
@@ -409,87 +408,54 @@ func cmdGen(args []string) {
 	die(fmt.Errorf("no matching path"))
 }
 
-func cmdCampaign(args []string) {
+// parseAndRun parses the subcommand's arguments and runs it.
+func parseAndRun(fs *flag.FlagSet, run func()) {
+	fs.Parse(os.Args[2:])
+	run()
+}
+
+// campaignCommand registers `pokeemu campaign`'s flags (the shared block,
+// fault injection and profiling) and returns them with the command.
+func campaignCommand() (*flag.FlagSet, func()) {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
-	cf := addCampaignFlags(fs)
-	timing := fs.Bool("timing", false, "append the per-stage timing and cache-hit table")
-	baselinePath := fs.String("baseline", "",
-		"baseline file of known divergences; the summary then partitions differences into known and new")
-	fs.DurationVar(&cf.testTimeout, "test-timeout", 0, "per-test wall-clock budget (0 = unlimited)")
-	fs.DurationVar(&cf.stageTimeout, "stage-timeout", 0,
-		"per-stage deadline; units still queued at the deadline are skipped and ledgered as degraded (0 = unlimited)")
+	var cf campaignFlags
+	cf.add(fs, false)
 	faultSpec := fs.String("faults", "",
 		"fault-injection spec, e.g. \"seed=7;corpus.write:p=0.2:err\" (overrides $"+faults.EnvVar+")")
 	pprofPrefix := fs.String("pprof", "",
 		"write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the campaign")
-	hybridOn := fs.Bool("hybrid", false,
-		"run the coverage-guided hybrid fuzzing stage after comparison")
-	hybridBudget := fs.Int("hybrid-budget", 256,
-		"mutated-input executions the hybrid stage spends (with -hybrid)")
-	hybridSeed := fs.Int64("hybrid-seed", 0, "hybrid fuzzer RNG seed (0 = -seed)")
-	vote := fs.Bool("vote", false,
-		"run every test on lento too and vote the three emulators into per-test verdicts with a blame column")
-	fs.Parse(args)
-
-	cfg, err := cf.config()
-	if err != nil {
-		die(err)
-	}
-	if *hybridOn && *hybridBudget <= 0 {
-		die(fmt.Errorf("-hybrid-budget must be >= 1 (got %d)", *hybridBudget))
-	}
-	if *faultSpec != "" {
-		if _, err := faults.ArmSpec(*faultSpec); err != nil {
-			die(err)
-		}
-	}
-	if *pprofPrefix != "" {
-		stopProf, err := startProfiles(*pprofPrefix)
+	return fs, func() {
+		cfg, err := cf.config()
 		if err != nil {
 			die(err)
 		}
-		defer stopProf()
-	}
-
-	cfg.Vote = *vote
-	if *hybridOn {
-		cfg.Hybrid = campaign.HybridConfig{Budget: *hybridBudget, Seed: *hybridSeed}
-	}
-	if *baselinePath != "" {
-		bl, err := triage.LoadBaseline(*baselinePath)
-		if err != nil {
-			die(err)
+		if *faultSpec != "" {
+			if _, err := faults.ArmSpec(*faultSpec); err != nil {
+				die(err)
+			}
 		}
-		if bl == nil {
-			bl = triage.NewBaseline()
+		if *pprofPrefix != "" {
+			stopProf, err := startProfiles(*pprofPrefix)
+			if err != nil {
+				die(err)
+			}
+			defer stopProf()
 		}
-		cfg.Baseline = bl
-	}
-	// Ctrl-C / SIGTERM cancels the campaign promptly; with -corpus -resume,
-	// finished tests are already checkpointed, so re-running the same
-	// command picks up where the interrupted run stopped.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	res, err := campaign.RunContext(ctx, cfg)
-	if err != nil {
-		die(err)
-	}
-	fmt.Print(res.Summary())
-	if *timing {
-		fmt.Println()
-		fmt.Print(res.TimingTable())
+		res, _ := cf.run(cfg)
+		fmt.Print(res.Summary())
+		cf.printTiming(res)
 	}
 }
 
-// cmdTriage runs a campaign and triages its divergences: baseline partition,
-// clustering, optional ddmin minimization, optional baseline update, and the
-// CI gate. With -diff it instead compares two saved report files.
-func cmdTriage(args []string) {
+// triageCommand registers `pokeemu triage`'s flags and returns them with
+// the command, which runs a campaign and triages its divergences: baseline
+// partition, clustering, optional ddmin minimization, optional baseline
+// update, and the CI gate. With -diff it instead compares two saved report
+// files.
+func triageCommand() (*flag.FlagSet, func()) {
 	fs := flag.NewFlagSet("triage", flag.ExitOnError)
-	cf := addCampaignFlags(fs)
-	timing := fs.Bool("timing", false, "append the campaign timing and cache-hit table")
-	baselinePath := fs.String("baseline", "",
-		"baseline file of known divergences (\"\" or missing file = everything is new)")
+	var cf campaignFlags
+	cf.add(fs, true)
 	minimize := fs.Bool("minimize", false, "ddmin-shrink every divergent case, preserving its signature")
 	budget := fs.Int("budget", 0, "oracle-run budget per minimized case (0 = default)")
 	updateBaseline := fs.Bool("update-baseline", false,
@@ -498,103 +464,85 @@ func cmdTriage(args []string) {
 	diffMode := fs.Bool("diff", false, "diff two saved reports: pokeemu triage -diff OLD.json NEW.json")
 	gate := fs.Bool("gate", false,
 		"exit 1 on any new divergence (run mode) or any delta (-diff mode)")
-	fs.Parse(args)
+	return fs, func() {
+		if *diffMode {
+			rest := fs.Args()
+			if len(rest) != 2 {
+				die(fmt.Errorf("triage -diff needs exactly two report files (got %d)", len(rest)))
+			}
+			oldRep, err := loadReport(rest[0])
+			if err != nil {
+				die(err)
+			}
+			newRep, err := loadReport(rest[1])
+			if err != nil {
+				die(err)
+			}
+			d := triage.DiffReports(oldRep, newRep)
+			fmt.Print(d.Render())
+			if *gate && !d.Empty() {
+				os.Exit(1)
+			}
+			return
+		}
+		if *updateBaseline && cf.baseline == "" {
+			die(fmt.Errorf("-update-baseline needs -baseline FILE"))
+		}
 
-	if *diffMode {
-		rest := fs.Args()
-		if len(rest) != 2 {
-			die(fmt.Errorf("triage -diff needs exactly two report files (got %d)", len(rest)))
-		}
-		oldRep, err := loadReport(rest[0])
+		cfg, err := cf.config()
 		if err != nil {
 			die(err)
 		}
-		newRep, err := loadReport(rest[1])
+		res, bl := cf.run(cfg)
+		opts := triage.Options{
+			Minimize:     *minimize,
+			Budget:       *budget,
+			TestMaxSteps: cfg.TestMaxSteps,
+			Workers:      cfg.Workers,
+			Baseline:     bl,
+		}
+		if cfg.CorpusDir != "" && !cfg.NoCache {
+			// The triage cache rides in the same corpus; an unusable corpus
+			// just means uncached minimization, exactly like the campaign's
+			// fallback.
+			if crp, err := corpus.Open(cfg.CorpusDir); err == nil {
+				opts.Corpus = crp
+			}
+		}
+		rep, err := triage.Run(res.TriageCases, opts)
 		if err != nil {
 			die(err)
 		}
-		d := triage.DiffReports(oldRep, newRep)
-		fmt.Print(d.Render())
-		if *gate && !d.Empty() {
+
+		fmt.Print(res.Summary())
+		fmt.Println()
+		fmt.Print(rep.Render())
+		cf.printTiming(res)
+		if *jsonOut != "" {
+			data, err := rep.Encode()
+			if err != nil {
+				die(err)
+			}
+			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
+				die(err)
+			}
+		}
+		if *updateBaseline {
+			if bl == nil {
+				bl = triage.NewBaseline()
+			}
+			added := bl.Update(rep)
+			if err := bl.Save(cf.baseline); err != nil {
+				die(err)
+			}
+			fmt.Printf("baseline: %s updated (%d clusters added, %d total)\n",
+				cf.baseline, added, bl.Len())
+		}
+		if *gate && rep.New > 0 {
+			fmt.Fprintf(os.Stderr, "pokeemu: triage gate: %d new divergent tests (%d new clusters)\n",
+				rep.New, rep.NewCluster)
 			os.Exit(1)
 		}
-		return
-	}
-	if *updateBaseline && *baselinePath == "" {
-		die(fmt.Errorf("-update-baseline needs -baseline FILE"))
-	}
-
-	cfg, err := cf.config()
-	if err != nil {
-		die(err)
-	}
-	var bl *triage.Baseline
-	if *baselinePath != "" {
-		if bl, err = triage.LoadBaseline(*baselinePath); err != nil {
-			die(err)
-		}
-		cfg.Baseline = bl
-		if bl == nil {
-			cfg.Baseline = triage.NewBaseline()
-		}
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	res, err := campaign.RunContext(ctx, cfg)
-	if err != nil {
-		die(err)
-	}
-
-	opts := triage.Options{
-		Minimize:     *minimize,
-		Budget:       *budget,
-		TestMaxSteps: cf.testSteps,
-		Workers:      cf.workers,
-		Baseline:     bl,
-	}
-	if cf.corpusDir != "" && !cf.noCache {
-		// The triage cache rides in the same corpus; an unusable corpus just
-		// means uncached minimization, exactly like the campaign's fallback.
-		if crp, err := corpus.Open(cf.corpusDir); err == nil {
-			opts.Corpus = crp
-		}
-	}
-	rep, err := triage.Run(res.TriageCases, opts)
-	if err != nil {
-		die(err)
-	}
-
-	fmt.Print(res.Summary())
-	fmt.Println()
-	fmt.Print(rep.Render())
-	if *timing {
-		fmt.Println()
-		fmt.Print(res.TimingTable())
-	}
-	if *jsonOut != "" {
-		data, err := rep.Encode()
-		if err != nil {
-			die(err)
-		}
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			die(err)
-		}
-	}
-	if *updateBaseline {
-		if bl == nil {
-			bl = triage.NewBaseline()
-		}
-		added := bl.Update(rep)
-		if err := bl.Save(*baselinePath); err != nil {
-			die(err)
-		}
-		fmt.Printf("baseline: %s updated (%d clusters added, %d total)\n",
-			*baselinePath, added, bl.Len())
-	}
-	if *gate && rep.New > 0 {
-		fmt.Fprintf(os.Stderr, "pokeemu: triage gate: %d new divergent tests (%d new clusters)\n",
-			rep.New, rep.NewCluster)
-		os.Exit(1)
 	}
 }
 
@@ -634,87 +582,68 @@ func startProfiles(prefix string) (func(), error) {
 	}, nil
 }
 
-// campaignFlags is the campaign flag block the campaign and triage
-// subcommands share. testTimeout and stageTimeout are registered by the
-// campaign subcommand only; triage leaves them zero.
+// campaignFlags is the flag block the campaign and triage subcommands
+// share: the campaign spec's knobs plus the flags only the CLI has.
 type campaignFlags struct {
-	instrs, cap, workers, exploreWorkers, maxSteps, testSteps int
-	seed                                                      int64
-	handlers, corpusDir                                       string
-	resume, noCache, progress                                 bool
-	testTimeout, stageTimeout                                 time.Duration
+	spec                campaign.Spec
+	corpusDir, baseline string
+	progress, timing    bool
 }
 
-// addCampaignFlags registers the shared campaign flags on fs.
-func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
-	f := &campaignFlags{}
-	fs.IntVar(&f.instrs, "instrs", 0, "max unique instructions (0 = all)")
-	fs.IntVar(&f.cap, "cap", 256, "paths per instruction")
-	fs.StringVar(&f.handlers, "handlers", "", "comma-separated handler keys")
-	fs.Int64Var(&f.seed, "seed", 1, "exploration seed")
-	fs.IntVar(&f.workers, "workers", runtime.NumCPU(), "parallel workers")
-	fs.IntVar(&f.exploreWorkers, "explore-workers", 0,
-		"workers inside each instruction's symbolic exploration (0 or 1 = sequential; never changes the report)")
-	fs.IntVar(&f.maxSteps, "maxsteps", 0, "per-path IR step cap (0 = default)")
+// add registers the block on fs; triage registers only the spec knobs
+// `pokeemu triage` shares.
+func (f *campaignFlags) add(fs *flag.FlagSet, triage bool) {
+	f.spec.AddFlags(fs, triage)
 	fs.StringVar(&f.corpusDir, "corpus", "", "persistent test corpus directory (\"\" = no cache)")
-	fs.BoolVar(&f.resume, "resume", false, "also cache and reuse per-test execution outcomes")
-	fs.BoolVar(&f.noCache, "no-cache", false, "ignore cached artifacts (still refreshes the corpus)")
-	fs.IntVar(&f.testSteps, "test-steps", 0, "per-test emulator step budget (0 = default)")
 	fs.BoolVar(&f.progress, "progress", false, "print per-stage progress to stderr as the campaign runs")
-	return f
+	fs.BoolVar(&f.timing, "timing", false, "append the per-stage timing and cache-hit table")
+	fs.StringVar(&f.baseline, "baseline", "",
+		"baseline file of known divergences; the summary partitions differences into known and new (a missing file: all new)")
 }
 
-// validate rejects flag values that would hang or silently misbehave (a
-// non-positive worker count, negative caps and budgets).
-func (f *campaignFlags) validate() error {
-	switch {
-	case f.workers <= 0:
-		return fmt.Errorf("-workers must be >= 1 (got %d)", f.workers)
-	case f.exploreWorkers < 0:
-		return fmt.Errorf("-explore-workers must be >= 0 (got %d)", f.exploreWorkers)
-	case f.cap <= 0:
-		return fmt.Errorf("-cap must be >= 1 (got %d)", f.cap)
-	case f.instrs < 0:
-		return fmt.Errorf("-instrs must be >= 0 (got %d)", f.instrs)
-	case f.maxSteps < 0:
-		return fmt.Errorf("-maxsteps must be >= 0 (got %d)", f.maxSteps)
-	case f.testSteps < 0:
-		return fmt.Errorf("-test-steps must be >= 0 (got %d)", f.testSteps)
-	case f.testTimeout < 0:
-		return fmt.Errorf("-test-timeout must be >= 0 (got %v)", f.testTimeout)
-	case f.stageTimeout < 0:
-		return fmt.Errorf("-stage-timeout must be >= 0 (got %v)", f.stageTimeout)
-	}
-	return nil
-}
-
-// config validates the parsed flags and builds the campaign configuration
-// they describe.
+// config builds the campaign configuration the parsed flags describe; the
+// spec normalizes and validates, with one worker per CPU as the default.
 func (f *campaignFlags) config() (campaign.Config, error) {
-	if err := f.validate(); err != nil {
-		return campaign.Config{}, err
-	}
-	cfg := campaign.Config{
-		MaxPathsPerInstr: f.cap,
-		MaxInstrs:        f.instrs,
-		Seed:             f.seed,
-		Workers:          f.workers,
-		ExploreWorkers:   f.exploreWorkers,
-		MaxSteps:         f.maxSteps,
-		CorpusDir:        f.corpusDir,
-		NoCache:          f.noCache,
-		Resume:           f.resume,
-		TestMaxSteps:     f.testSteps,
-		TestTimeout:      f.testTimeout,
-		StageTimeout:     f.stageTimeout,
-	}
-	if f.handlers != "" {
-		cfg.Handlers = strings.Split(f.handlers, ",")
-	}
+	cfg, err := f.spec.Config(runtime.NumCPU())
+	cfg.CorpusDir = f.corpusDir
 	if f.progress {
 		cfg.Progress = progressPrinter(os.Stderr)
 	}
-	return cfg, nil
+	return cfg, err
+}
+
+// run runs the campaign against -baseline and returns its result and the
+// baseline (nil when the file does not exist yet). Ctrl-C / SIGTERM
+// cancels the campaign promptly; with -corpus -resume, finished tests are
+// already checkpointed, so re-running the same command picks up where the
+// interrupted run stopped.
+func (f *campaignFlags) run(cfg campaign.Config) (*campaign.Result, *triage.Baseline) {
+	var bl *triage.Baseline
+	if f.baseline != "" {
+		var err error
+		if bl, err = triage.LoadBaseline(f.baseline); err != nil {
+			die(err)
+		}
+		cfg.Baseline = bl
+		if bl == nil {
+			cfg.Baseline = triage.NewBaseline()
+		}
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	res, err := campaign.RunContext(ctx, cfg)
+	if err != nil {
+		die(err)
+	}
+	return res, bl
+}
+
+// printTiming appends the timing table when -timing asks for it.
+func (f *campaignFlags) printTiming(res *campaign.Result) {
+	if f.timing {
+		fmt.Println()
+		fmt.Print(res.TimingTable())
+	}
 }
 
 // progressPrinter renders campaign progress events as throttled stderr

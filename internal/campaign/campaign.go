@@ -51,7 +51,7 @@ const configLabel = "bochs"
 // Config scopes a campaign. The full instruction set at the paper's path
 // cap takes minutes; benchmarks use subsets.
 type Config struct {
-	MaxPathsPerInstr int
+	MaxPathsPerInstr int      // 0 = DefaultPathCap
 	MaxInstrs        int      // 0 = all unique instructions
 	Handlers         []string // restrict to these handler keys (nil = all)
 	Seed             int64
@@ -480,7 +480,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 	if cfg.MaxPathsPerInstr == 0 {
-		cfg.MaxPathsPerInstr = 8192
+		cfg.MaxPathsPerInstr = DefaultPathCap
 	}
 	testBudget := harness.Budget{MaxSteps: cfg.TestMaxSteps, Wall: cfg.TestTimeout}
 	if testBudget.MaxSteps == 0 {
@@ -1395,10 +1395,4 @@ func (r *Result) TimingTable() string {
 		}
 	}
 	return b.String()
-}
-
-// Report renders the full campaign report: the deterministic summary
-// followed by the timing/cache table.
-func (r *Result) Report() string {
-	return r.Summary() + "\n" + r.TimingTable()
 }

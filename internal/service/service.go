@@ -44,10 +44,6 @@ var (
 	ErrQueueFull = errors.New("service: job queue full")
 )
 
-// DefaultPathCap is the per-instruction path cap applied when a request
-// leaves path_cap at zero (matching the CLI's -cap default).
-const DefaultPathCap = 256
-
 // Job states.
 const (
 	StateQueued   = "queued"
@@ -165,9 +161,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// CorpusDir returns the shared corpus root ("" if disabled).
-func (s *Server) CorpusDir() string { return s.opts.CorpusDir }
-
 // baselinePath is where the service persists its baseline ("" when no corpus
 // is configured — the baseline is then in-memory only).
 func (s *Server) baselinePath() string {
@@ -196,87 +189,24 @@ func (s *Server) SetBaseline(b *triage.Baseline) error {
 	return nil
 }
 
-// Request is the JSON body of POST /v1/campaigns. Zero values take
-// defaults (path_cap 256, seed 1, workers = the server's per-job cap);
-// negative values are rejected.
-type Request struct {
-	Handlers  []string `json:"handlers,omitempty"`
-	MaxInstrs int      `json:"max_instrs,omitempty"`
-	PathCap   int      `json:"path_cap,omitempty"`
-	Seed      int64    `json:"seed,omitempty"`
-	Workers   int      `json:"workers,omitempty"`
-	// ExploreWorkers bounds the pool inside each instruction's symbolic
-	// exploration; like workers it only affects wall-clock time, never the
-	// report. 0 or 1 runs exploration sequentially.
-	ExploreWorkers int   `json:"explore_workers,omitempty"`
-	MaxSteps       int   `json:"max_steps,omitempty"`
-	Resume         bool  `json:"resume,omitempty"`
-	NoCache        bool  `json:"no_cache,omitempty"`
-	TestMaxSteps   int   `json:"test_max_steps,omitempty"`
-	TestTimeoutMS  int64 `json:"test_timeout_ms,omitempty"`
-	// StageTimeoutMS caps each fan-out stage's wall clock; on expiry the
-	// campaign degrades (skipped units are counted in the report's degraded
-	// section) instead of failing. 0 = unlimited.
-	StageTimeoutMS int64 `json:"stage_timeout_ms,omitempty"`
+// Request is the JSON body of POST /v1/campaigns: the campaign spec, whose
+// zero values take its defaults (workers: the server's per-job cap).
+type Request = campaign.Spec
 
-	// HybridBudget enables the coverage-guided hybrid fuzzing stage with
-	// this many mutated-input executions; 0 leaves it off.
-	HybridBudget int `json:"hybrid_budget,omitempty"`
-	// HybridSeed seeds the fuzzer's RNG (0 = the campaign seed).
-	HybridSeed int64 `json:"hybrid_seed,omitempty"`
-
-	// Vote enables N-way voted verdicts: every test additionally runs on
-	// lento and the three emulators are partitioned per test, yielding the
-	// report's per-emulator blame column. Voting bypasses the resume
-	// execution cache (cached outcomes hold only the classic trio).
-	Vote bool `json:"vote,omitempty"`
-}
-
-// configFor normalizes the request in place (so the job's status echoes the
-// effective values) and maps it onto a campaign.Config rooted at the shared
-// corpus.
+// configFor normalizes the request in place through the spec (so the job's
+// status echoes the effective values), clamping both worker counts to the
+// per-job cap, and roots the campaign at the shared corpus.
 func (s *Server) configFor(req *Request) (campaign.Config, error) {
-	if req.TestTimeoutMS < 0 {
-		return campaign.Config{}, fmt.Errorf("campaign: test_timeout_ms must be >= 0 (got %d)", req.TestTimeoutMS)
-	}
-	if req.StageTimeoutMS < 0 {
-		return campaign.Config{}, fmt.Errorf("campaign: stage_timeout_ms must be >= 0 (got %d)", req.StageTimeoutMS)
-	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	if req.PathCap == 0 {
-		req.PathCap = DefaultPathCap
-	}
-	if req.Workers == 0 || req.Workers > s.opts.MaxWorkersPerJob {
-		req.Workers = s.opts.MaxWorkersPerJob
-	}
-	if req.ExploreWorkers > s.opts.MaxWorkersPerJob {
-		req.ExploreWorkers = s.opts.MaxWorkersPerJob
-	}
-	cfg := campaign.Config{
-		MaxPathsPerInstr: req.PathCap,
-		MaxInstrs:        req.MaxInstrs,
-		Handlers:         req.Handlers,
-		Seed:             req.Seed,
-		Workers:          req.Workers,
-		ExploreWorkers:   req.ExploreWorkers,
-		MaxSteps:         req.MaxSteps,
-		CorpusDir:        s.opts.CorpusDir,
-		NoCache:          req.NoCache,
-		Resume:           req.Resume,
-		TestMaxSteps:     req.TestMaxSteps,
-		TestTimeout:      time.Duration(req.TestTimeoutMS) * time.Millisecond,
-		StageTimeout:     time.Duration(req.StageTimeoutMS) * time.Millisecond,
-		Vote:             req.Vote,
-		// The job captures the baseline current at submission; a later PUT
-		// replaces the server's pointer without disturbing running jobs.
-		Baseline: s.Baseline(),
-		Hybrid:   campaign.HybridConfig{Budget: req.HybridBudget, Seed: req.HybridSeed},
-	}
-	if err := cfg.Validate(); err != nil {
+	req.Workers = min(req.Workers, s.opts.MaxWorkersPerJob)
+	req.ExploreWorkers = min(req.ExploreWorkers, s.opts.MaxWorkersPerJob)
+	cfg, err := req.Config(s.opts.MaxWorkersPerJob)
+	if err != nil {
 		return campaign.Config{}, err
 	}
+	cfg.CorpusDir = s.opts.CorpusDir
+	// The job captures the baseline current at submission; a later PUT
+	// replaces the server's pointer without disturbing running jobs.
+	cfg.Baseline = s.Baseline()
 	return cfg, nil
 }
 

@@ -3,11 +3,15 @@ package service
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"pokeemu/internal/campaign"
 )
 
 func decodeBody(body string) (Request, error) {
@@ -31,6 +35,76 @@ func TestDecodeSubmit(t *testing.T) {
 	var tooLarge *http.MaxBytesError
 	if _, err := decodeBody(big); !errors.As(err, &tooLarge) {
 		t.Errorf("a %d-byte body: err = %v, want a MaxBytesError", len(big), err)
+	}
+}
+
+// TestSpecParity sends the same values through the CLI's flag parsing (the
+// spec's flags as `pokeemu campaign` registers them) and through
+// decodeSubmit + configFor. Both surfaces must make the same accept/reject
+// decision and build equal campaign Configs, apart from pokeemud clamping
+// both worker counts to its per-job cap. The CLI's worker default is one
+// per CPU and pokeemud's is its cap; the test gives both the same value.
+func TestSpecParity(t *testing.T) {
+	const maxWorkers = 4
+	s := &Server{opts: Options{MaxWorkersPerJob: maxWorkers}}
+	for _, c := range []struct {
+		args []string
+		body string
+	}{
+		{nil, `{}`},
+		{[]string{"-cap", "0"}, `{"path_cap":0}`},
+		{[]string{"-cap", "1"}, `{"path_cap":1}`},
+		{[]string{"-cap", "-1"}, `{"path_cap":-1}`},
+		{[]string{"-seed", "0"}, `{"seed":0}`},
+		{[]string{"-seed", "-5"}, `{"seed":-5}`},
+		{[]string{"-workers", "0"}, `{"workers":0}`},
+		{[]string{"-workers", "1"}, `{"workers":1}`},
+		{[]string{"-workers", "-2"}, `{"workers":-2}`},
+		{[]string{"-workers", "1000000"}, `{"workers":1000000}`},
+		{[]string{"-workers", "9223372036854775807"}, `{"workers":9223372036854775807}`},
+		{[]string{"-explore-workers", "0"}, `{"explore_workers":0}`},
+		{[]string{"-explore-workers", "-1"}, `{"explore_workers":-1}`},
+		{[]string{"-explore-workers", "1000000"}, `{"explore_workers":1000000}`},
+		{[]string{"-instrs", "0"}, `{"max_instrs":0}`},
+		{[]string{"-instrs", "-1"}, `{"max_instrs":-1}`},
+		{[]string{"-instrs", "3"}, `{"max_instrs":3}`},
+		{[]string{"-maxsteps", "-1"}, `{"max_steps":-1}`},
+		{[]string{"-maxsteps", "100"}, `{"max_steps":100}`},
+		{[]string{"-test-steps", "-9"}, `{"test_max_steps":-9}`},
+		{[]string{"-test-steps", "0"}, `{"test_max_steps":0}`},
+		{[]string{"-test-timeout", "0s"}, `{"test_timeout_ms":0}`},
+		{[]string{"-test-timeout", "-1ms"}, `{"test_timeout_ms":-1}`},
+		{[]string{"-test-timeout", "2s"}, `{"test_timeout_ms":2000}`},
+		{[]string{"-stage-timeout", "-5s"}, `{"stage_timeout_ms":-5000}`},
+		{[]string{"-stage-timeout", "1m"}, `{"stage_timeout_ms":60000}`},
+		{[]string{"-hybrid-budget", "0"}, `{"hybrid_budget":0}`},
+		{[]string{"-hybrid-budget", "-1"}, `{"hybrid_budget":-1}`},
+		{[]string{"-hybrid-budget", "16", "-hybrid-seed", "-3"}, `{"hybrid_budget":16,"hybrid_seed":-3}`},
+		{[]string{"-handlers", "push_r,leave", "-resume", "-no-cache", "-vote"},
+			`{"handlers":["push_r","leave"],"resume":true,"no_cache":true,"vote":true}`},
+		{[]string{"-handlers", ""}, `{"handlers":[]}`},
+	} {
+		var cli campaign.Spec
+		fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+		cli.AddFlags(fs, false)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%q: %v", c.args, err)
+		}
+		want, cliErr := cli.Config(maxWorkers)
+		want.Workers = min(want.Workers, maxWorkers)
+		want.ExploreWorkers = min(want.ExploreWorkers, maxWorkers)
+
+		req, err := decodeBody(c.body)
+		if err != nil {
+			t.Fatalf("%s: %v", c.body, err)
+		}
+		got, srvErr := s.configFor(&req)
+		switch {
+		case (cliErr == nil) != (srvErr == nil):
+			t.Errorf("%q vs %s: CLI err %v, pokeemud err %v", c.args, c.body, cliErr, srvErr)
+		case cliErr == nil && !reflect.DeepEqual(got, want):
+			t.Errorf("%q vs %s:\nCLI      %+v\npokeemud %+v", c.args, c.body, want, got)
+		}
 	}
 }
 

@@ -103,7 +103,8 @@ func TestTriageBaselineE2E(t *testing.T) {
 }
 
 // TestTriageEndpointValidation pins the endpoint's error handling: unknown
-// jobs 404, unfinished jobs 409, bad budgets 400, bad baselines 400.
+// jobs 404, unfinished jobs 409, bad budgets 400, bad baselines (wrong
+// version, garbage, a duplicate entry) 400.
 func TestTriageEndpointValidation(t *testing.T) {
 	_, ts := startServer(t, Options{MaxJobs: 1, DrainTimeout: time.Minute})
 
@@ -115,6 +116,10 @@ func TestTriageEndpointValidation(t *testing.T) {
 	}
 	if code, b := doJSON(t, http.MethodPut, ts.URL+"/v1/baseline", `garbage`); code != http.StatusBadRequest {
 		t.Errorf("garbage baseline put = %d: %s", code, b)
+	}
+	dup := `{"version":1,"entries":[{"impl":"celer","signature":"a|x"},{"impl":"celer","signature":"a|x"}]}`
+	if code, b := doJSON(t, http.MethodPut, ts.URL+"/v1/baseline", dup); code != http.StatusBadRequest {
+		t.Errorf("duplicate-entry baseline put = %d: %s", code, b)
 	}
 
 	st := submitJob(t, ts.URL, `{"handlers":["leave"],"path_cap":8}`)

@@ -111,7 +111,10 @@ func (b *Baseline) Encode() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// DecodeBaseline parses and validates a baseline file.
+// DecodeBaseline parses and validates a baseline file. Two entries for one
+// (impl, signature) pair are an error: Len would count the cluster twice
+// and Encode could order the pair either way. A null or missing entry
+// list decodes as empty.
 func DecodeBaseline(data []byte) (*Baseline, error) {
 	var b Baseline
 	if err := json.Unmarshal(data, &b); err != nil {
@@ -120,12 +123,20 @@ func DecodeBaseline(data []byte) (*Baseline, error) {
 	if b.Version != BaselineVersion {
 		return nil, fmt.Errorf("triage: baseline version %d, want %d", b.Version, BaselineVersion)
 	}
+	if b.Entries == nil {
+		b.Entries = []BaselineEntry{}
+	}
 	for _, e := range b.Entries {
 		if e.Impl == "" || e.Signature == "" {
 			return nil, fmt.Errorf("triage: baseline entry missing impl or signature: %+v", e)
 		}
 	}
 	b.sortEntries()
+	for i := 1; i < len(b.Entries); i++ {
+		if e := b.Entries[i]; e.Impl == b.Entries[i-1].Impl && e.Signature == b.Entries[i-1].Signature {
+			return nil, fmt.Errorf("triage: baseline lists (%s, %s) twice", e.Impl, e.Signature)
+		}
+	}
 	return &b, nil
 }
 

@@ -97,6 +97,33 @@ func TestBaselineDecodeRejects(t *testing.T) {
 	if _, err := DecodeBaseline([]byte(`not json`)); err == nil {
 		t.Error("garbage accepted")
 	}
+	dup := `{"version":1,"entries":[{"impl":"celer","signature":"a|x","count":1},` +
+		`{"impl":"fidelis","signature":"a|x"},{"impl":"celer","signature":"a|x","count":2}]}`
+	if b, err := DecodeBaseline([]byte(dup)); err == nil {
+		t.Errorf("duplicate (impl, signature) accepted: Len %d", b.Len())
+	}
+}
+
+// TestBaselineDecodeNullEntries: a null or missing entry list is an empty
+// baseline, which re-encodes as [] like NewBaseline's.
+func TestBaselineDecodeNullEntries(t *testing.T) {
+	want, err := NewBaseline().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{`{"version":1,"entries":null}`, `{"version":1}`} {
+		b, err := DecodeBaseline([]byte(in))
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		got, err := b.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s re-encodes as\n%s\nwant\n%s", in, got, want)
+		}
+	}
 }
 
 func TestBaselineSaveLoadRoundTrip(t *testing.T) {

@@ -75,3 +75,50 @@ func FuzzTriageMinimize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeBaseline drives hostile PUT /v1/baseline bodies through the
+// baseline decoder. Nothing may panic; an accepted baseline encodes,
+// decodes and re-encodes byte-identically, and Len counts its distinct
+// (impl, signature) pairs.
+func FuzzDecodeBaseline(f *testing.F) {
+	for _, seed := range []string{
+		`{"version":1,"entries":[]}`,
+		`{"version":1,"entries":null}`,
+		`{"version":1,"entries":[{"impl":"celer","signature":"leave|esp","root_cause":"non-atomic","count":3}]}`,
+		`{"version":1,"entries":[{"impl":"celer","signature":"a"},{"impl":"celer","signature":"a"}]}`,
+		`{"version":1,"entries":[{"impl":"b","signature":"x"},{"impl":"a","signature":"y","count":-1}]}`,
+		`{"version":2,"entries":[]}`,
+		`{"Version":1,"ENTRIES":[{"Impl":"celer","Signature":"\u00ff"}]}`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeBaseline(data)
+		if err != nil {
+			return
+		}
+		pairs := map[[2]string]bool{}
+		for _, e := range b.Entries {
+			pairs[[2]string{e.Impl, e.Signature}] = true
+		}
+		if b.Len() != len(pairs) {
+			t.Fatalf("Len %d for %d distinct pairs", b.Len(), len(pairs))
+		}
+		enc, err := b.Encode()
+		if err != nil {
+			t.Fatalf("accepted baseline does not encode: %v", err)
+		}
+		b2, err := DecodeBaseline(enc)
+		if err != nil {
+			t.Fatalf("encoded baseline does not decode: %v\n%s", err, enc)
+		}
+		enc2, err := b2.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding differs:\n%s\nvs\n%s", enc, enc2)
+		}
+	})
+}
